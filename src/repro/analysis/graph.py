@@ -6,17 +6,21 @@ This module makes that observation algorithmic in the classical
 Allen–Kennedy style:
 
 * :func:`dependence_graph` — statements as nodes, dependences as edges
-  (networkx DiGraph), optionally restricted to the dependences *not*
+  (a :class:`Digraph`), optionally restricted to the dependences *not*
   carried outside a given loop;
 * :func:`maximal_distribution` — recursively split every multi-child
   loop around the strongly connected components of its level-restricted
   dependence graph, in topological order.  Factorization codes collapse
   into one SCC (no split — matching the paper); pipelines split fully.
+
+The graphs have a handful of nodes, so the digraph and the Tarjan SCC
+pass below are plain dictionaries and lists; nothing outside the
+standard library is imported.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Hashable, Iterable
 
 from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
@@ -24,12 +28,77 @@ from repro.instance.layout import Layout, Path
 from repro.ir.ast import Loop, Program
 from repro.util.errors import TransformError
 
-__all__ = ["dependence_graph", "maximal_distribution", "distribution_plan"]
+__all__ = [
+    "Digraph", "dependence_graph", "maximal_distribution", "distribution_plan",
+    "strongly_connected_components",
+]
+
+
+class Digraph:
+    """A small directed graph: nodes in insertion order, at most one
+    edge per ordered pair, and per edge the list of dependences that
+    induced it (``deps(u, v)``)."""
+
+    def __init__(self, nodes: Iterable[Hashable] = ()):
+        self._succ: dict[Hashable, dict[Hashable, list]] = {n: {} for n in nodes}
+
+    def add_edge(self, u: Hashable, v: Hashable) -> list:
+        """Ensure the edge ``u -> v`` (and both endpoints) and return
+        its dependence list."""
+        self._succ.setdefault(v, {})
+        return self._succ.setdefault(u, {}).setdefault(v, [])
+
+    @property
+    def nodes(self) -> list:
+        return list(self._succ)
+
+    @property
+    def edges(self) -> list[tuple]:
+        return [(u, v) for u, out in self._succ.items() for v in out]
+
+    def successors(self, u: Hashable) -> list:
+        return list(self._succ[u])
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return v in self._succ.get(u, ())
+
+    def deps(self, u: Hashable, v: Hashable) -> list:
+        return self._succ[u][v]
+
+
+def strongly_connected_components(g: Digraph) -> list[list]:
+    """Tarjan's algorithm: the SCCs of ``g``, each emitted only after
+    every SCC it can reach (reverse topological order of the
+    condensation).  Recursive — depth is bounded by the node count, here
+    the children of one loop."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    sccs: list[list] = []
+
+    def visit(u) -> None:
+        index[u] = low[u] = len(index)
+        stack.append(u)
+        for v in g.successors(u):
+            if v not in index:
+                visit(v)
+                low[u] = min(low[u], low[v])
+            elif v in stack:
+                low[u] = min(low[u], index[v])
+        if low[u] == index[u]:
+            cut = stack.index(u)
+            sccs.append(stack[cut:])
+            del stack[cut:]
+
+    for u in g.nodes:
+        if u not in index:
+            visit(u)
+    return sccs
 
 
 def dependence_graph(
     deps: DependenceMatrix, *, at_loop: Path | None = None
-) -> "nx.DiGraph":
+) -> Digraph:
     """Statement-level dependence graph.
 
     With ``at_loop``, only dependences relevant to distributing that
@@ -38,10 +107,10 @@ def dependence_graph(
     regardless of how the body is split).
     """
     layout = deps.layout
-    g = nx.DiGraph()
-    for label in layout.statement_labels():
-        if at_loop is None or _inside(layout, label, at_loop):
-            g.add_node(label)
+    g = Digraph(
+        label for label in layout.statement_labels()
+        if at_loop is None or _inside(layout, label, at_loop)
+    )
     outer_positions: list[int] = []
     if at_loop is not None:
         outer_positions = [
@@ -55,10 +124,7 @@ def dependence_graph(
                 continue
             if _definitely_carried(d, outer_positions):
                 continue
-        if g.has_edge(d.src, d.dst):
-            g[d.src][d.dst]["deps"].append(d)
-        else:
-            g.add_edge(d.src, d.dst, deps=[d])
+        g.add_edge(d.src, d.dst).append(d)
     return g
 
 
@@ -103,25 +169,20 @@ def distribution_plan(
         for label in g.nodes:
             child_of[label] = layout.statement_path(label)[len(coord.path)]
         # collapse statements to children, keeping edges
-        cg = nx.DiGraph()
-        cg.add_nodes_from(range(len(node.body)))
+        cg = Digraph(range(len(node.body)))
         for u, v in g.edges:
             cu, cv = child_of[u], child_of[v]
             if cu != cv:
                 cg.add_edge(cu, cv)
-        sccs = list(nx.strongly_connected_components(cg))
-        cond = nx.condensation(cg, scc=sccs)
-        order = list(nx.topological_sort(cond))
-        groups = [sorted(cond.nodes[i]["members"]) for i in order]
-        # keep source order among independent groups for determinism:
-        # stable sort by smallest child index, then re-check topology
-        groups.sort(key=lambda grp: grp[0])
-        groups = _stable_topo(groups, cg)
-        plan[coord.path] = groups
+        # the condensation's nodes, in source order (by smallest child
+        # index); _stable_topo then orders them topologically, breaking
+        # ties by that source order
+        groups = sorted(sorted(scc) for scc in strongly_connected_components(cg))
+        plan[coord.path] = _stable_topo(groups, cg)
     return plan
 
 
-def _stable_topo(groups: list[list[int]], cg: "nx.DiGraph") -> list[list[int]]:
+def _stable_topo(groups: list[list[int]], cg: Digraph) -> list[list[int]]:
     """Order groups topologically, breaking ties by source order."""
     remaining = list(groups)
     out: list[list[int]] = []

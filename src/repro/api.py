@@ -30,12 +30,26 @@ import io
 import json
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-import numpy as np
-
+from repro.codegen import generate_code
+from repro.codegen.simplify import simplify_program
+from repro.completion import complete_transformation
+from repro.dependence import analyze_dependences
+from repro.instance import Layout
 from repro.ir import Program, parse_program, program_to_str
+from repro.legality import check as legality_check
+from repro.polyhedra import System, ge, var
+from repro.transform.spec import parse_schedule
 from repro.util.errors import LegalityError, ReproError
+
+# The analysis layers above are exact integer arithmetic and are imported
+# here, once; everything that needs numpy (value-based refinement, the
+# interpreter, the backends, the tuner, explain) is imported by the op
+# that uses it, so `repro deps` never loads an array library.
+# `preload()` is for processes that would rather pay it all up front.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "load_file", "load_flexible", "parse_params", "resolve_run_params",
@@ -43,8 +57,28 @@ __all__ = [
     "AnalyzeResult", "CheckResult", "TransformResult", "CompleteResult",
     "RunResult", "TuneOutcome", "ExplainResult",
     "analyze_op", "check_op", "transform_op", "complete_op", "run_op",
-    "tune_op", "explain_op", "OPS",
+    "tune_op", "explain_op", "OPS", "preload",
 ]
+
+
+# ---------------------------------------------------------------------------
+# imports: the numpy-side layers, per op or all at once
+# ---------------------------------------------------------------------------
+
+def preload() -> None:
+    """Import every layer an op below imports on first use.
+
+    A CLI command pays only for what it runs; a long-lived process calls
+    this once at start-up instead — ``repro serve`` does — so that no
+    request pays a first-use import.
+    """
+    from importlib import import_module
+
+    for name in (
+        "repro.dependence.refine", "repro.symbolic", "repro.backend.runtime",
+        "repro.tune", "repro.explain",
+    ):
+        import_module(name)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +302,8 @@ class RunResult:
 
     @classmethod
     def from_payload(cls, p: Mapping[str, Any]) -> "RunResult":
+        import numpy as np
+
         return cls(
             {k: np.asarray(v, dtype=float) for k, v in p["arrays"].items()},
             p.get("trace_len"),
@@ -275,6 +311,8 @@ class RunResult:
         )
 
     def render(self) -> str:
+        import numpy as np
+
         out = io.StringIO()
         if self.tuned_banner:
             print(self.tuned_banner, file=out)
@@ -421,10 +459,10 @@ def analyze_op(
     jobs: int | None = None,
 ) -> AnalyzeResult:
     """Dependence analysis, optionally value-based refined."""
-    from repro.dependence import analyze_dependences, refine_dependences
-
     deps = analyze_dependences(program, jobs=jobs)
     if refine:
+        from repro.dependence import refine_dependences
+
         samples = [
             parse_params([s]) or {"N": 6}
             for s in (sample_param_texts or ["N=6", "N=9"])
@@ -438,8 +476,6 @@ def check_op(
 ) -> CheckResult:
     """Legality verdict for a transformation spec.  ``oracle="symbolic"``
     appeals Theorem-2 rejections to the fractal symbolic oracle."""
-    from repro.legality import check as legality_check
-
     report = legality_check(program, spec, oracle=oracle)
     cert = (
         report.symbolic.certificate
@@ -461,11 +497,6 @@ def transform_op(
     program: Program, spec: str, *, simplify: bool = False
 ) -> TransformResult:
     """Generated code for a legal transformation spec."""
-    from repro.codegen import generate_code
-    from repro.codegen.simplify import simplify_program
-    from repro.polyhedra import System, ge, var
-    from repro.transform.spec import parse_schedule
-
     schedule = parse_schedule(program, spec)
     if not schedule.structural_legal:
         raise LegalityError(
@@ -484,11 +515,6 @@ def complete_op(
     program: Program, lead: str, *, jobs: int | None = None
 ) -> CompleteResult:
     """Complete a partial transformation whose lead loop is ``lead``."""
-    from repro.codegen import generate_code
-    from repro.completion import complete_transformation
-    from repro.dependence import analyze_dependences
-    from repro.instance import Layout
-
     layout = Layout(program)
     deps = analyze_dependences(program, jobs=jobs)
     n = layout.dimension

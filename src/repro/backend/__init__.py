@@ -9,21 +9,33 @@ comparison with output cross-checks) and the lower-level
 worker-pool knobs live in :mod:`repro.backend.wavefront`.
 """
 
-from repro.backend.lower import LoweredProgram, lower_program
-from repro.backend.runtime import (
-    BACKENDS, BackendTiming, bench_backends, lower_cached, run, run_lowered,
-    time_backend,
-)
-from repro.backend.vectorize import VecPlan, doall_loop_vars, plan_vector_loop
-from repro.backend.wavefront import (
-    FrontPlan, collect_front_plans, par_jobs, plan_front_loop,
-    resolve_par_jobs,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BACKENDS", "BackendTiming", "FrontPlan", "LoweredProgram", "VecPlan",
-    "bench_backends", "collect_front_plans", "doall_loop_vars",
-    "lower_cached", "lower_program", "par_jobs", "plan_front_loop",
-    "plan_vector_loop", "resolve_par_jobs", "run", "run_lowered",
-    "time_backend",
-]
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.backend.lower import LoweredProgram, lower_program
+    from repro.backend.names import BACKENDS
+    from repro.backend.runtime import (
+        BackendTiming, bench_backends, lower_cached, run, run_lowered,
+        time_backend,
+    )
+    from repro.backend.vectorize import VecPlan, doall_loop_vars, plan_vector_loop
+    from repro.backend.wavefront import (
+        FrontPlan, collect_front_plans, par_jobs, plan_front_loop,
+        resolve_par_jobs,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.backend.lower": ("LoweredProgram", "lower_program"),
+    "repro.backend.names": ("BACKENDS",),
+    "repro.backend.runtime": (
+        "BackendTiming", "bench_backends", "lower_cached", "run", "run_lowered",
+        "time_backend",
+    ),
+    "repro.backend.vectorize": ("VecPlan", "doall_loop_vars", "plan_vector_loop"),
+    "repro.backend.wavefront": (
+        "FrontPlan", "collect_front_plans", "par_jobs", "plan_front_loop",
+        "resolve_par_jobs",
+    ),
+})

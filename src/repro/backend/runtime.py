@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.backend.lower import LoweredProgram, lower_program
+from repro.backend.names import BACKENDS
 from repro.backend.wavefront import par_jobs as _par_jobs_ctx
 from repro.interp.equivalence import outputs_close
 from repro.interp.executor import ArrayStore, execute
@@ -54,11 +55,6 @@ __all__ = [
     "BACKENDS", "run", "run_lowered", "lower_cached", "bench_backends",
     "BackendTiming", "time_backend", "MIN_TIMING_REPS",
 ]
-
-#: Registry order is also the presentation order in `repro bench`.
-BACKENDS: tuple[str, ...] = (
-    "reference", "compiled", "source", "source-vec", "source-par",
-)
 
 # Lowering cache: keyed by id(program) — safe because each cached
 # LoweredProgram keeps a strong reference to its Program, so an id

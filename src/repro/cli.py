@@ -48,7 +48,7 @@ import argparse
 import os
 import sys
 
-from repro import api, obs
+from repro import __version__, api, obs
 from repro.analysis import parallel_loops
 from repro.api import load_file as _load
 from repro.api import load_flexible as _load_flexible
@@ -57,7 +57,7 @@ from repro.dependence import analyze_dependences
 from repro.instance import Layout, symbolic_vector
 from repro.ir import program_to_str
 from repro.linalg import IntMatrix
-from repro.backend import BACKENDS as _BACKEND_CHOICES
+from repro.backend.names import BACKENDS as _BACKEND_CHOICES
 from repro.transform.spec import parse_spec
 from repro.util.errors import LegalityError, ReproError
 
@@ -456,6 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro",
         description="Transformations for imperfectly nested loops (SC'96 reproduction)",
     )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # observability flags shared by the pipeline commands

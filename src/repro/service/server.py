@@ -390,6 +390,7 @@ def serve(
 ) -> int:
     """Run the daemon in the foreground until SIGTERM/SIGINT or a
     ``shutdown`` request; returns a CLI exit code."""
+    api.preload()  # no request pays a first-use import
     installed = None
     if obs.current_session() is None:
         sinks = [obs.JsonlSink(trace_json)] if trace_json else []
