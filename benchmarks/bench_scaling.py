@@ -69,21 +69,3 @@ def test_scaling_legality_dimension(benchmark, chol, chol_layout, chol_deps):
     m = IntMatrix.identity(chol_layout.dimension)
     r = benchmark(check_legality, chol_layout, m, chol_deps)
     assert r.legal
-
-
-def test_scaling_compiled_vs_reference(benchmark):
-    """The closure-compiled executor versus the reference interpreter
-    on Cholesky N=32 (same results, measured speedup)."""
-    import numpy as np
-
-    from repro.interp import ArrayStore, execute_compiled
-    from repro.kernels import cholesky
-
-    p = cholesky()
-    base = ArrayStore(p, {"N": 32}).snapshot()
-
-    fast = benchmark.pedantic(
-        lambda: execute_compiled(p, {"N": 32}, arrays=base), rounds=3, iterations=1
-    )
-    ref, _ = execute(p, {"N": 32}, arrays=base)
-    assert np.array_equal(ref.arrays["A"], fast.arrays["A"])

@@ -103,13 +103,13 @@ def test_e20_warm_daemon_beats_cold_cli(service, benchmark):
         program = factory()
         src = program_to_str(program)
         cold_s = _cold_seconds(["deps", files[program.name]])
-        warm_s = _warm_seconds(lambda src=src: client.analyze(src))
+        warm_s = _warm_seconds(lambda src=src: client.request("analyze", program=src))
         speedups[program.name] = cold_s / warm_s
         print(
             f"  {program.name:12s} cold {cold_s * 1e3:8.1f} ms  "
             f"warm {warm_s * 1e3:8.3f} ms  {cold_s / warm_s:8.1f}x"
         )
-    benchmark(client.analyze, program_to_str(cholesky()))
+    benchmark(client.request, "analyze", program=program_to_str(cholesky()))
     for name, speedup in speedups.items():
         assert speedup >= SERVICE_MIN_SPEEDUP, (
             f"{name}: warm path only {speedup:.1f}x faster than the cold "
@@ -123,7 +123,7 @@ def test_e20_warm_results_stay_byte_identical(service):
         program = factory()
         local = api.analyze_op(program).render()
         remote = api.AnalyzeResult.from_payload(
-            client.analyze(program_to_str(program))
+            client.request("analyze", program=program_to_str(program))
         ).render()
         assert remote == local, program.name
     # the served copies really are warm: a repeat request is a cache hit
@@ -136,14 +136,14 @@ def test_e20_throughput_under_concurrent_clients(service):
     n_clients, per_client = 8, 25
     sources = [program_to_str(f()) for f in (cholesky, trmm, seidel_2d)]
     for src in sources:
-        client.analyze(src)  # prime every shard
+        client.request("analyze", program=src)  # prime every shard
     errors = []
     lock = threading.Lock()
 
     def hammer():
         for i in range(per_client):
             try:
-                client.analyze(sources[i % len(sources)])
+                client.request("analyze", program=sources[i % len(sources)])
             except Exception as exc:  # noqa: BLE001 - collected below
                 with lock:
                     errors.append(str(exc))

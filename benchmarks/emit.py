@@ -376,13 +376,15 @@ def collect_service_results() -> list[dict]:
                 Path(path).write_text(src)
                 workload.append((
                     program.name, "analyze", ["deps", path],
-                    lambda src=src: client.analyze(src),
+                    lambda src=src: client.request("analyze", program=src),
                 ))
             chol_path = os.path.join(tmp, "cholesky.loop")
             workload.append((
                 "cholesky", "transform",
                 ["transform", chol_path, "skew(I,K,1)"],
-                lambda: client.transform(sources["cholesky"], "skew(I,K,1)"),
+                lambda: client.request(
+                    "transform", program=sources["cholesky"], spec="skew(I,K,1)"
+                ),
             ))
 
             for kernel, op, argv, request in workload:

@@ -13,10 +13,17 @@ the single implementation both call:
   transform / complete / run / tune / explain), each returning a small
   result dataclass;
 * every result dataclass round-trips through a JSON-safe ``payload``
-  (``to_payload`` / ``from_payload``) and renders its CLI text with
-  ``render()`` — so a remote invocation deserializes the wire payload
-  and prints through *exactly* the same rendering code as a local run,
-  making warm service results byte-identical to cold CLI output.
+  (``to_payload`` / ``from_payload``, derived from its fields) and
+  renders its CLI text with ``render()`` — so a remote invocation
+  deserializes the wire payload and prints through *exactly* the same
+  rendering code as a local run, making warm service results
+  byte-identical to cold CLI output;
+* the op table :data:`OPS` — per op, the request dataclass
+  (:mod:`repro.requests`: argument names and defaults, which is also
+  the ``args`` object on the service wire), the result class and the
+  ``*_op`` function — and :func:`execute`, the one call that maps
+  request fields onto that function for the local CLI and the daemon
+  alike.
 
 Canonical program identity (:func:`canonical_text`, :func:`program_key`)
 also lives here: the service shards its warm caches per program by this
@@ -25,12 +32,11 @@ key (docs/SERVICE.md).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
-import json
-from contextlib import redirect_stdout
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.codegen import generate_code
 from repro.codegen.simplify import simplify_program
@@ -56,8 +62,9 @@ __all__ = [
     "canonical_text", "program_key",
     "AnalyzeResult", "CheckResult", "TransformResult", "CompleteResult",
     "RunResult", "TuneOutcome", "ExplainResult",
+    "EXPLAIN_PHASES",
     "analyze_op", "check_op", "transform_op", "complete_op", "run_op",
-    "tune_op", "explain_op", "OPS", "preload",
+    "tune_op", "explain_op", "Op", "OPS", "execute", "preload",
 ]
 
 
@@ -157,31 +164,37 @@ def program_key(program: Program | str) -> str:
 # result dataclasses (payload round trip + CLI rendering)
 # ---------------------------------------------------------------------------
 
+class _Payload:
+    """The wire form of a result dataclass *is* its fields: one JSON
+    object keyed by field name.  A payload may omit fields that have a
+    default (older daemons predate some of them)."""
+
+    def to_payload(self) -> dict:
+        payload = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            payload[f.name] = list(value) if isinstance(value, tuple) else value
+        return payload
+
+    @classmethod
+    def from_payload(cls, p: Mapping[str, Any]):
+        return cls(**{f.name: p[f.name] for f in dataclasses.fields(cls) if f.name in p})
+
+
 @dataclass
-class AnalyzeResult:
+class AnalyzeResult(_Payload):
     """Dependence analysis output (``repro deps``)."""
 
     matrix_text: str
     summary: str
     refined: bool = False
 
-    def to_payload(self) -> dict:
-        return {
-            "matrix_text": self.matrix_text,
-            "summary": self.summary,
-            "refined": self.refined,
-        }
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "AnalyzeResult":
-        return cls(p["matrix_text"], p["summary"], bool(p.get("refined", False)))
-
     def render(self) -> str:
         return f"{self.matrix_text}\n\n{self.summary}"
 
 
 @dataclass
-class CheckResult:
+class CheckResult(_Payload):
     """Legality verdict for a transformation spec (``repro check``).
 
     Exit codes are part of the scripting contract: ``0`` accepted
@@ -199,6 +212,9 @@ class CheckResult:
     symbolic_verdict: str | None = None
     certificate: dict | None = None
 
+    def __post_init__(self):
+        self.structural = tuple(self.structural)  # a JSON list off the wire
+
     @property
     def accepted(self) -> bool:
         return (self.legal and self.structural_legal) or (
@@ -208,26 +224,6 @@ class CheckResult:
     @property
     def exit_code(self) -> int:
         return 0 if self.accepted else 1
-
-    def to_payload(self) -> dict:
-        return {
-            "legal": self.legal,
-            "report_text": self.report_text,
-            "structural": list(self.structural),
-            "structural_legal": self.structural_legal,
-            "oracle": self.oracle,
-            "symbolic_verdict": self.symbolic_verdict,
-            "certificate": self.certificate,
-        }
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "CheckResult":
-        return cls(
-            bool(p["legal"]), p["report_text"],
-            tuple(p.get("structural", ())), bool(p.get("structural_legal", True)),
-            p.get("oracle", "theorem-2"), p.get("symbolic_verdict"),
-            p.get("certificate"),
-        )
 
     def render(self) -> str:
         lines = []
@@ -246,42 +242,28 @@ class CheckResult:
 
 
 @dataclass
-class TransformResult:
+class TransformResult(_Payload):
     """Generated program text for a legal spec (``repro transform``)."""
 
     text: str
-
-    def to_payload(self) -> dict:
-        return {"text": self.text}
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "TransformResult":
-        return cls(p["text"])
 
     def render(self) -> str:
         return self.text
 
 
 @dataclass
-class CompleteResult:
+class CompleteResult(_Payload):
     """Completed partial transformation (``repro complete``)."""
 
     matrix_text: str
     program_text: str
-
-    def to_payload(self) -> dict:
-        return {"matrix_text": self.matrix_text, "program_text": self.program_text}
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "CompleteResult":
-        return cls(p["matrix_text"], p["program_text"])
 
     def render(self) -> str:
         return f"completed matrix:\n{self.matrix_text}\n\n{self.program_text}"
 
 
 @dataclass
-class RunResult:
+class RunResult(_Payload):
     """Final array contents of an execution (``repro run``).
 
     Arrays travel the wire as nested lists; ``json`` round-trips finite
@@ -294,21 +276,19 @@ class RunResult:
     tuned_banner: str = ""
 
     def to_payload(self) -> dict:
-        return {
-            "arrays": {k: v.tolist() for k, v in self.arrays.items()},
-            "trace_len": self.trace_len,
-            "tuned_banner": self.tuned_banner,
-        }
+        payload = super().to_payload()
+        payload["arrays"] = {k: v.tolist() for k, v in self.arrays.items()}
+        return payload
 
     @classmethod
     def from_payload(cls, p: Mapping[str, Any]) -> "RunResult":
         import numpy as np
 
-        return cls(
-            {k: np.asarray(v, dtype=float) for k, v in p["arrays"].items()},
-            p.get("trace_len"),
-            p.get("tuned_banner", ""),
-        )
+        result = super().from_payload(p)
+        result.arrays = {
+            k: np.asarray(v, dtype=float) for k, v in result.arrays.items()
+        }
+        return result
 
     def render(self) -> str:
         import numpy as np
@@ -326,7 +306,7 @@ class RunResult:
 
 
 @dataclass
-class TuneOutcome:
+class TuneOutcome(_Payload):
     """A finished autotuning search (``repro tune``), wire-friendly.
 
     Carries the same fields as the CLI's ``--json`` payload; the row
@@ -338,52 +318,19 @@ class TuneOutcome:
     params: dict[str, int]
     backend: str
     from_cache: bool
-    cache_key: str
-    cache_path: str | None
-    enumerated: int
-    pruned: int
-    scored: int
-    baseline_seconds: float | None
-    speedup: float | None
+    cache_key: str = ""
+    cache_path: str | None = None
+    enumerated: int = 0
+    pruned: int = 0
+    scored: int = 0
+    baseline_seconds: float | None = None
+    speedup: float | None = None
     rows: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return any(r.get("winner") for r in self.rows) and not any(
             r.get("error") or r.get("ok") is False for r in self.rows
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "program": self.program,
-            "params": self.params,
-            "backend": self.backend,
-            "from_cache": self.from_cache,
-            "cache_key": self.cache_key,
-            "cache_path": self.cache_path,
-            "enumerated": self.enumerated,
-            "pruned": self.pruned,
-            "scored": self.scored,
-            "baseline_seconds": self.baseline_seconds,
-            "speedup": self.speedup,
-            "rows": self.rows,
-        }
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "TuneOutcome":
-        return cls(
-            program=p["program"],
-            params={k: int(v) for k, v in p["params"].items()},
-            backend=p["backend"],
-            from_cache=bool(p["from_cache"]),
-            cache_key=p.get("cache_key", ""),
-            cache_path=p.get("cache_path"),
-            enumerated=int(p.get("enumerated", 0)),
-            pruned=int(p.get("pruned", 0)),
-            scored=int(p.get("scored", 0)),
-            baseline_seconds=p.get("baseline_seconds"),
-            speedup=p.get("speedup"),
-            rows=list(p.get("rows", [])),
         )
 
     def render(self) -> str:
@@ -430,21 +377,18 @@ class TuneOutcome:
 
 
 @dataclass
-class ExplainResult:
+class ExplainResult(_Payload):
     """Rendered decision provenance (``repro explain``)."""
 
     text: str
     exit_code: int = 0
 
-    def to_payload(self) -> dict:
-        return {"text": self.text, "exit_code": self.exit_code}
-
-    @classmethod
-    def from_payload(cls, p: Mapping[str, Any]) -> "ExplainResult":
-        return cls(p["text"], int(p.get("exit_code", 0)))
-
     def render(self) -> str:
         return self.text
+
+
+#: Phases ``explain --phase`` accepts, in pipeline order.
+EXPLAIN_PHASES = ("legality", "symbolic", "complete", "vectorize", "wavefront", "tune")
 
 
 # ---------------------------------------------------------------------------
@@ -455,28 +399,33 @@ def analyze_op(
     program: Program,
     *,
     refine: bool = False,
-    sample_param_texts: Sequence[str] | None = None,
+    sample_params: Sequence[str] = (),
     jobs: int | None = None,
 ) -> AnalyzeResult:
-    """Dependence analysis, optionally value-based refined."""
+    """Dependence analysis, optionally value-based refined at the
+    ``sample_params`` sizes (``"N=6"`` texts)."""
     deps = analyze_dependences(program, jobs=jobs)
     if refine:
         from repro.dependence import refine_dependences
 
         samples = [
-            parse_params([s]) or {"N": 6}
-            for s in (sample_param_texts or ["N=6", "N=9"])
+            parse_params([s]) or {"N": 6} for s in (sample_params or ["N=6", "N=9"])
         ]
         deps = refine_dependences(program, deps, samples=samples)
     return AnalyzeResult(deps.to_str(), deps.summary(), refined=refine)
 
 
 def check_op(
-    program: Program, spec: str, *, oracle: str = "theorem-2"
+    program: Program,
+    spec: str,
+    *,
+    symbolic: bool = False,
+    oracle: str = "theorem-2",
 ) -> CheckResult:
-    """Legality verdict for a transformation spec.  ``oracle="symbolic"``
-    appeals Theorem-2 rejections to the fractal symbolic oracle."""
-    report = legality_check(program, spec, oracle=oracle)
+    """Legality verdict for a transformation spec.  ``symbolic=True``
+    (the wire's spelling of ``oracle="symbolic"``) appeals Theorem-2
+    rejections to the fractal symbolic oracle."""
+    report = legality_check(program, spec, oracle="symbolic" if symbolic else oracle)
     cert = (
         report.symbolic.certificate
         if report.symbolic is not None and report.symbolic.certificate
@@ -554,42 +503,15 @@ def tune_op(
     params: Mapping[str, int] | None = None,
     *,
     cache_dir: str | None = None,
-    backend: str = "source-vec",
-    beam_width: int = 4,
-    depth: int = 2,
-    top_k: int = 3,
-    repeat: int = 3,
-    jobs: int | None = None,
-    use_cache: bool = True,
-    force: bool = False,
-    include_structural: bool = True,
-    tile_sizes: Sequence[int] | None = None,
-    max_candidates: int | None = None,
-    cross_check: str = "full",
-    symbolic: bool = False,
+    **search: Any,
 ) -> TuneOutcome:
-    """Autotune ``program`` and return a wire-friendly outcome."""
+    """Autotune ``program`` and return a wire-friendly outcome.  The
+    ``search`` keywords (and their defaults) are those of
+    :func:`repro.tune.tune`."""
     from repro.tune import TuneStore, tune
 
     store = TuneStore(cache_dir) if cache_dir else TuneStore()
-    result = tune(
-        program,
-        dict(params) if params else None,
-        backend=backend,
-        beam_width=beam_width,
-        depth=depth,
-        top_k=top_k,
-        repeat=repeat,
-        jobs=jobs,
-        store=store,
-        use_cache=use_cache,
-        force=force,
-        include_structural=include_structural,
-        tile_sizes=tuple(tile_sizes) if tile_sizes else None,
-        max_candidates=max_candidates,
-        cross_check=cross_check,
-        symbolic=symbolic,
-    )
+    result = tune(program, dict(params) if params else None, store=store, **search)
     return TuneOutcome(
         program=program.name,
         params=result.params,
@@ -606,48 +528,89 @@ def tune_op(
     )
 
 
-def explain_op(
-    program: Program,
-    *,
-    phase: str | None = None,
-    spec: str | None = None,
-    lead: str | None = None,
-    params: Mapping[str, int] | None = None,
-    cache_dir: str | None = None,
-    as_json: bool = False,
-    verbose: bool = False,
-    jobs: int | None = None,
-) -> ExplainResult:
+def explain_op(program: Program, **fields: Any) -> ExplainResult:
     """Decision provenance, rendered exactly as ``repro explain`` prints
-    it.  Requires an installed observability session for the
-    event-replay phases (the CLI and the daemon both provide one)."""
-    from types import SimpleNamespace
-
+    it; the keywords are those of :func:`repro.explain.explain_program`.
+    Requires an installed observability session for the event-replay
+    phases (the CLI and the daemon both provide one)."""
     from repro.explain import explain_program
 
-    args = SimpleNamespace(
-        phase=phase, spec=spec, lead=lead, params=dict(params or {}),
-        cache_dir=cache_dir, json=as_json, verbose=verbose, jobs=jobs,
+    return ExplainResult(explain_program(program, **fields))
+
+
+# ---------------------------------------------------------------------------
+# the op table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Op:
+    """What one pipeline op is, for the CLI, the client, the wire and
+    the daemon: ``fn(program, **fields)`` with ``fields`` named and
+    defaulted by ``request`` and a ``result`` instance coming back."""
+
+    name: str
+    result: type
+    fn: Callable
+    #: The daemon caches result payloads per program shard — sound only
+    #: for a pure function of (canonical program, fields).
+    cacheable: bool = True
+    #: Keywords of ``fn`` that describe where the op runs, not what it
+    #: computes, so they are not request fields (see :func:`execute`).
+    context: tuple[str, ...] = ()
+
+    @property
+    def request(self) -> type:
+        """The op's request dataclass — imported on first use, so that a
+        local CLI run, which never builds a request, does not pay for
+        defining seven of them."""
+        from repro.requests import REQUESTS
+
+        return REQUESTS[self.name]
+
+    def from_payload(self, payload: Mapping[str, Any]):
+        return self.result.from_payload(payload)
+
+
+#: ``tune`` is not cacheable — the persistent tune store is its cache
+#: and timings are not deterministic — and neither is ``explain``, whose
+#: tune phase reads that mutable store.
+OPS: dict[str, Op] = {
+    op.name: op
+    for op in (
+        Op("analyze", AnalyzeResult, analyze_op),
+        Op("check", CheckResult, check_op),
+        Op("transform", TransformResult, transform_op),
+        Op("complete", CompleteResult, complete_op, context=("jobs",)),
+        Op("run", RunResult, run_op),
+        Op("tune", TuneOutcome, tune_op, cacheable=False,
+           context=("cache_dir", "jobs")),
+        Op("explain", ExplainResult, explain_op, cacheable=False,
+           context=("cache_dir", "jobs")),
     )
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = explain_program(program, args)
-    return ExplainResult(buf.getvalue().rstrip("\n"), code)
-
-
-#: Operation registry shared by the service dispatcher and the docs:
-#: op name -> result class (the payload contract of a successful call).
-OPS: dict[str, type] = {
-    "analyze": AnalyzeResult,
-    "check": CheckResult,
-    "transform": TransformResult,
-    "complete": CompleteResult,
-    "run": RunResult,
-    "tune": TuneOutcome,
-    "explain": ExplainResult,
 }
 
 
-def _json_safe(value):
-    """Round anything payload-ish through json (sanity helper for tests)."""
-    return json.loads(json.dumps(value))
+def execute(
+    op: str,
+    program: Program,
+    fields: Mapping[str, Any],
+    *,
+    cache_dir: str | None = None,
+    jobs: int | None = None,
+):
+    """Run pipeline op ``op`` on ``program`` and return its result object.
+
+    ``fields`` are request fields by wire name (any subset; the rest
+    take the op's defaults) — the same dict a remote caller hands to
+    ``ServiceClient.request``.  ``cache_dir`` (the tuning cache) and
+    ``jobs`` (analysis fan-out) belong to the process doing the work:
+    the local CLI passes its flags, the daemon its own tune directory.
+    """
+    spec = OPS[op]
+    kwargs = dict(fields)
+    name = kwargs.pop("name", "")  # tune/explain: the client's program name
+    if name:
+        program = dataclasses.replace(program, name=name)
+    context = {"cache_dir": cache_dir, "jobs": jobs}
+    kwargs.update((key, context[key]) for key in spec.context)
+    return spec.fn(program, **kwargs)

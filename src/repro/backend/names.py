@@ -4,5 +4,5 @@ is documented (and dispatched) in :mod:`repro.backend.runtime`."""
 
 #: Registry order is also the presentation order in `repro bench`.
 BACKENDS: tuple[str, ...] = (
-    "reference", "compiled", "source", "source-vec", "source-par",
+    "reference", "source", "source-vec", "source-par",
 )

@@ -1,13 +1,11 @@
 """Backend registry and the single execution entry point.
 
-Five backends run any IR program against the same
+Four backends run any IR program against the same
 :class:`~repro.interp.ArrayStore` inputs:
 
 ``reference``
     The tree-walking interpreter (:func:`repro.interp.execute`) — the
     semantic ground truth every other backend is checked against.
-``compiled``
-    The closure compiler (:func:`repro.interp.execute_compiled`).
 ``source``
     :mod:`repro.backend.lower` — the program is emitted as Python
     source, ``compile()``d once and run as native bytecode.  Bit-exact
@@ -108,10 +106,6 @@ def run(
     if backend == "reference":
         store, _ = execute(program, params, arrays, init=init)
         return store
-    if backend == "compiled":
-        from repro.interp.compiled import execute_compiled
-
-        return execute_compiled(program, params, arrays, init=init)
     parallel = backend == "source-par"
     lowered = lower_cached(
         program,

@@ -78,10 +78,22 @@ def _remote_url(args) -> str | None:
     return os.environ.get("REPRO_REMOTE") or None
 
 
-def _client(url: str):
-    from repro.service.client import ServiceClient
+def _run_op(args, op: str, program, **fields):
+    """Run one pipeline op and return its result object: in-process, or
+    against the daemon ``--remote``/``$REPRO_REMOTE`` names.  ``fields``
+    are the op's request fields (:data:`repro.api.OPS`) either way."""
+    url = _remote_url(args)
+    if url:
+        from repro.service.client import ServiceClient
 
-    return ServiceClient(url)
+        payload = ServiceClient(url).request(
+            op, program=program_to_str(program), **fields
+        )
+        return api.OPS[op].from_payload(payload)
+    return api.execute(
+        op, program, fields,
+        cache_dir=getattr(args, "cache_dir", None), jobs=getattr(args, "jobs", None),
+    )
 
 
 def cmd_show(args) -> int:
@@ -98,53 +110,26 @@ def cmd_show(args) -> int:
 
 
 def cmd_deps(args) -> int:
-    program = _load(args.file)
-    url = _remote_url(args)
-    if url:
-        result = api.AnalyzeResult.from_payload(
-            _client(url).analyze(
-                program_to_str(program),
-                refine=args.refine,
-                sample_params=list(args.param or []),
-                jobs=args.jobs,
-            )
-        )
-    else:
-        result = api.analyze_op(
-            program, refine=args.refine, sample_param_texts=args.param,
-            jobs=args.jobs,
-        )
+    result = _run_op(
+        args, "analyze", _load(args.file), refine=args.refine,
+        sample_params=tuple(args.param or ()), jobs=args.jobs,
+    )
     print(result.render())
     return 0
 
 
 def cmd_check(args) -> int:
-    program = _load(args.file)
-    oracle = "symbolic" if args.symbolic else "theorem-2"
-    url = _remote_url(args)
-    if url:
-        result = api.CheckResult.from_payload(
-            _client(url).check(
-                program_to_str(program), args.spec, symbolic=args.symbolic
-            )
-        )
-    else:
-        result = api.check_op(program, args.spec, oracle=oracle)
+    result = _run_op(
+        args, "check", _load(args.file), spec=args.spec, symbolic=args.symbolic
+    )
     print(result.render())
     return result.exit_code
 
 
 def cmd_transform(args) -> int:
-    program = _load(args.file)
-    url = _remote_url(args)
-    if url:
-        result = api.TransformResult.from_payload(
-            _client(url).transform(
-                program_to_str(program), args.spec, simplify=args.simplify
-            )
-        )
-    else:
-        result = api.transform_op(program, args.spec, simplify=args.simplify)
+    result = _run_op(
+        args, "transform", _load(args.file), spec=args.spec, simplify=args.simplify
+    )
     if args.output:
         with open(args.output, "w") as f:
             f.write(result.render() + "\n")
@@ -155,14 +140,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    program = _load(args.file)
-    url = _remote_url(args)
-    if url:
-        result = api.CompleteResult.from_payload(
-            _client(url).complete(program_to_str(program), args.lead)
-        )
-    else:
-        result = api.complete_op(program, args.lead, jobs=args.jobs)
+    result = _run_op(args, "complete", _load(args.file), lead=args.lead)
     print(result.render())
     return 0
 
@@ -184,10 +162,9 @@ def _tuned_program(program, params, cache_dir):
 
 def cmd_run(args) -> int:
     program = _load_flexible(args.file)
-    url = _remote_url(args)
     banner = ""
-    if getattr(args, "tuned", False):
-        if url:
+    if args.tuned:
+        if _remote_url(args):
             raise ReproError(
                 "--tuned is a local-cache feature; tune through the daemon "
                 "(repro tune --remote) and run the materialized schedule"
@@ -200,19 +177,10 @@ def cmd_run(args) -> int:
         banner = (f"applying tuned schedule: {w['description']} "
                   f"(measured {w['seconds']:.6f}s on {entry['backend']})")
         args.param = [f"{k}={v}" for k, v in params.items()]
-    if url:
-        result = api.RunResult.from_payload(
-            _client(url).run(
-                program_to_str(program), _params(args.param),
-                backend=args.backend, trace=args.trace,
-                par_jobs=getattr(args, "par_jobs", None),
-            )
-        )
-    else:
-        result = api.run_op(
-            program, _params(args.param), backend=args.backend,
-            par_jobs=getattr(args, "par_jobs", None), trace=args.trace,
-        )
+    result = _run_op(
+        args, "run", program, params=_params(args.param), backend=args.backend,
+        par_jobs=args.par_jobs, trace=args.trace,
+    )
     result.tuned_banner = banner
     print(result.render())
     return 0
@@ -275,7 +243,10 @@ def cmd_tune(args) -> int:
         )
     elif args.tile:
         tile_sizes = TILE_LADDER
-    opts = dict(
+    outcome = _run_op(
+        args, "tune", program,
+        name=program.name,
+        params=params,
         backend=args.backend,
         beam_width=args.beam,
         depth=args.depth,
@@ -289,17 +260,6 @@ def cmd_tune(args) -> int:
         cross_check=args.cross_check,
         symbolic=args.symbolic,
     )
-    url = _remote_url(args)
-    if url:
-        outcome = api.TuneOutcome.from_payload(
-            _client(url).tune(
-                program_to_str(program), params, name=program.name, **opts
-            )
-        )
-    else:
-        outcome = api.tune_op(
-            program, params, cache_dir=args.cache_dir, jobs=args.jobs, **opts
-        )
     print(outcome.render())
     if args.json:
         import json
@@ -363,30 +323,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-#: kept in sync with :data:`repro.explain.PHASES` (literal here so the
-#: argparse setup does not import the tune stack on every CLI start)
-_EXPLAIN_PHASES = (
-    "legality", "symbolic", "complete", "vectorize", "wavefront", "tune"
-)
-
-
-def _cmd_explain(args) -> int:
-    url = _remote_url(args)
-    if url:
-        program = _load_flexible(args.file)
-        result = api.ExplainResult.from_payload(
-            _client(url).explain(
-                program_to_str(program), name=program.name,
-                phase=args.phase, spec=args.spec, lead=args.lead,
-                params=_params(args.param), as_json=args.json,
-                verbose=args.verbose,
-            )
-        )
-        print(result.render())
-        return result.exit_code
-    from repro.explain import cmd_explain
-
-    return cmd_explain(args)
+def cmd_explain(args) -> int:
+    program = _load_flexible(args.file)
+    result = _run_op(
+        args, "explain", program,
+        name=program.name, phase=args.phase, spec=args.spec, lead=args.lead,
+        params=_params(args.param), as_json=args.json, verbose=args.verbose,
+    )
+    print(result.render())
+    return result.exit_code
 
 
 def cmd_fuzz(args) -> int:
@@ -509,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "check", help="check a transformation spec for legality",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
     p.add_argument("spec", help='e.g. "permute(I,J); skew(I,J,-1)"')
@@ -523,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "transform", help="generate code for a legal spec",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
     p.add_argument("spec")
@@ -715,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--backend",
         action="append",
-        choices=("compiled", "source", "source-vec", "source-par"),
+        choices=[b for b in _BACKEND_CHOICES if b != "reference"],
         help="also cross-check every legal case's execution against this "
         "backend (repeatable; see docs/BACKENDS.md)",
     )
@@ -743,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file", help="a .loop file (extension optional) or bundled kernel name")
     p.add_argument(
         "--phase",
-        choices=_EXPLAIN_PHASES,
+        choices=api.EXPLAIN_PHASES,
         default=None,
         help="explain one phase (default: every phase runnable with the "
         "given flags)",
@@ -760,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="emit the events/ranking as JSON instead of the narrative")
     p.add_argument("--verbose", action="store_true",
                    help="also print the program text")
-    p.set_defaults(fn=_cmd_explain)
+    p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser(
         "report", help="full analysis report", parents=[obsflags, jobsflags]

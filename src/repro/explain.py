@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import json
 from contextvars import ContextVar
+from typing import Mapping
 
 from repro import obs
+from repro.api import EXPLAIN_PHASES as PHASES
 from repro.instance import Layout
 from repro.ir import program_to_str
 from repro.tune.ranking import RankReport, rank_report
 from repro.util.errors import ReproError
 
-__all__ = ["cmd_explain", "explain_program", "PHASES", "render_tune_ranking"]
-
-#: Phases ``--phase`` accepts, in pipeline order.
-PHASES = ("legality", "symbolic", "complete", "vectorize", "wavefront", "tune")
+__all__ = ["explain_program", "PHASES", "render_tune_ranking"]
 
 #: Index into the session's event list where the current explain run
 #: started.  The CLI installs a fresh session per command so this is 0
@@ -50,23 +49,23 @@ def _phase_events(phase: str):
 # -- phase drivers: each runs one pipeline stage and returns a narrative ----
 
 
-def _explain_legality(program, args) -> tuple[str, list]:
+def _explain_legality(program, spec, jobs) -> tuple[str, list]:
     from repro.dependence import analyze_dependences
     from repro.legality import check_legality
     from repro.transform.spec import parse_spec
 
-    if not args.spec:
+    if not spec:
         raise ReproError(
             "explain --phase legality needs --spec (the transformation "
             'whose legality verdict you want explained, e.g. --spec "permute(I,J)")'
         )
     layout = Layout(program)
-    deps = analyze_dependences(program, jobs=args.jobs)
-    t = parse_spec(layout, args.spec)
+    deps = analyze_dependences(program, jobs=jobs)
+    t = parse_spec(layout, spec)
     report = check_legality(layout, t.matrix, deps)
     events = _phase_events("legality")
     head = (
-        f"spec: {args.spec}\n"
+        f"spec: {spec}\n"
         f"verdict: {'LEGAL' if report.legal else 'ILLEGAL'} "
         f"({len(report.violations)} violated, "
         f"{len(report.unsatisfied())} unsatisfied of {len(report.statuses)} dependences)"
@@ -74,32 +73,32 @@ def _explain_legality(program, args) -> tuple[str, list]:
     return head + "\n" + obs.render_events(events, kind="legality"), events
 
 
-def _explain_symbolic(program, args) -> tuple[str, list]:
+def _explain_symbolic(program, spec) -> tuple[str, list]:
     from repro.legality import check
 
-    if not args.spec:
+    if not spec:
         raise ReproError(
             "explain --phase symbolic needs --spec (the Theorem-2-rejected "
             'transformation to appeal, e.g. --spec "reverse(K)")'
         )
-    report = check(program, args.spec, oracle="symbolic")
+    report = check(program, spec, oracle="symbolic")
     if report.legal and report.structural_legal:
         head = (
-            f"spec: {args.spec}\n"
+            f"spec: {spec}\n"
             "verdict: LEGAL by Theorem 2 — the symbolic oracle was not "
             "consulted (it only hears appeals of projection-test rejections)"
         )
     elif report.symbolic_legal:
         cert = report.symbolic.certificate
         head = (
-            f"spec: {args.spec}\n"
+            f"spec: {spec}\n"
             "verdict: SYMBOLIC-LEGAL — rejected by the Theorem-2 projection "
             "test, certified equivalent by the fractal symbolic oracle\n"
             f"certificate: {cert.summary()}"
         )
     else:
         head = (
-            f"spec: {args.spec}\n"
+            f"spec: {spec}\n"
             f"verdict: {report.symbolic.verdict.upper()} — "
             f"{report.symbolic.reason}"
         )
@@ -108,30 +107,30 @@ def _explain_symbolic(program, args) -> tuple[str, list]:
     return head + "\n" + body, events
 
 
-def _explain_complete(program, args) -> tuple[str, list]:
+def _explain_complete(program, lead) -> tuple[str, list]:
     from repro.completion.enabling import complete_with_restructuring
     from repro.util.errors import CompletionError
 
-    if not args.lead:
+    if not lead:
         raise ReproError(
             "explain --phase complete needs --lead (the loop variable the "
             "completion should scan outermost, e.g. --lead K)"
         )
     try:
-        enabled = complete_with_restructuring(program, args.lead)
+        enabled = complete_with_restructuring(program, lead)
         head = (
-            f"lead: {args.lead}\n"
+            f"lead: {lead}\n"
             f"verdict: completed"
             + (f" after restructuring [{' ; '.join(enabled.moves)}]"
                if enabled.restructured else " without restructuring")
         )
     except CompletionError as exc:
-        head = f"lead: {args.lead}\nverdict: failed — {exc}"
+        head = f"lead: {lead}\nverdict: failed — {exc}"
     events = _phase_events("complete")
     return head + "\n" + obs.render_events(events, kind="complete"), events
 
 
-def _explain_vectorize(program, args) -> tuple[str, list]:
+def _explain_vectorize(program) -> tuple[str, list]:
     from repro.backend.lower import lower_program
 
     try:
@@ -146,7 +145,7 @@ def _explain_vectorize(program, args) -> tuple[str, list]:
     return head + "\n" + obs.render_events(events, kind="vectorize"), events
 
 
-def _explain_wavefront(program, args) -> tuple[str, list]:
+def _explain_wavefront(program) -> tuple[str, list]:
     from repro.backend.lower import lower_program
 
     try:
@@ -211,12 +210,12 @@ def render_tune_ranking(entry: dict) -> str:
     return "\n".join(lines)
 
 
-def _explain_tune(program, args) -> tuple[str, dict | None]:
+def _explain_tune(program, params, cache_dir) -> tuple[str, dict | None]:
     from repro.tune import TuneStore, load_tuned
     from repro.tune.driver import DEFAULT_PARAM
 
-    params = args.params or {p: DEFAULT_PARAM for p in program.params}
-    store = TuneStore(args.cache_dir) if args.cache_dir else TuneStore()
+    params = dict(params or {p: DEFAULT_PARAM for p in program.params})
+    store = TuneStore(cache_dir) if cache_dir else TuneStore()
     entry = load_tuned(program, params, store=store)
     if entry is None:
         return (
@@ -235,72 +234,63 @@ def _explain_tune(program, args) -> tuple[str, dict | None]:
     return head + "\n" + render_tune_ranking(entry), entry
 
 
-def cmd_explain(args) -> int:
-    """Render decision provenance for one phase (or every runnable one)."""
-    from repro.api import load_flexible, parse_params
-
-    program = load_flexible(args.file)
-    args.params = parse_params(args.param)
-    return explain_program(program, args)
-
-
-def explain_program(program, args) -> int:
-    """Drive the explain phases for an already-loaded program.
-
-    ``args`` needs: ``phase``, ``spec``, ``lead``, ``params`` (a dict),
-    ``cache_dir``, ``json``, ``verbose`` and ``jobs`` — the CLI
-    namespace or the service's :func:`repro.api.explain_op` shim.
-    """
+def explain_program(
+    program,
+    *,
+    phase: str | None = None,
+    spec: str | None = None,
+    lead: str | None = None,
+    params: Mapping[str, int] | None = None,
+    cache_dir: str | None = None,
+    as_json: bool = False,
+    verbose: bool = False,
+    jobs: int | None = None,
+) -> str:
+    """Decision provenance of ``program`` for one ``phase`` (default:
+    every phase runnable with the given ``spec``/``lead``), as the text
+    ``repro explain`` prints: a narrative, or with ``as_json`` the
+    events and ranking as JSON."""
     sess = obs.current_session()
     token = _EVENTS_START.set(len(sess.events) if sess else 0)
     try:
-        return _explain_program_inner(program, args)
+        phases = [phase] if phase else [
+            p
+            for p in PHASES
+            if (p not in ("legality", "symbolic") or spec) and (p != "complete" or lead)
+        ]
+        drivers = {
+            "legality": lambda: _explain_legality(program, spec, jobs),
+            "symbolic": lambda: _explain_symbolic(program, spec),
+            "complete": lambda: _explain_complete(program, lead),
+            "vectorize": lambda: _explain_vectorize(program),
+            "wavefront": lambda: _explain_wavefront(program),
+        }
+        sections: list[tuple[str, str]] = []
+        payload: dict = {"program": program.name, "phases": {}}
+        for name in phases:
+            if name == "tune":
+                text, entry = _explain_tune(program, params, cache_dir)
+                payload["phases"]["tune"] = {
+                    "entry": {
+                        k: entry[k]
+                        for k in ("params", "backend", "winner", "ranking")
+                        if k in entry
+                    }
+                    if entry
+                    else None,
+                }
+            else:
+                text, events = drivers[name]()
+                payload["phases"][name] = {"events": [ev.to_dict() for ev in events]}
+            sections.append((name, text))
     finally:
         _EVENTS_START.reset(token)
 
-
-def _explain_program_inner(program, args) -> int:
-    phases = [args.phase] if args.phase else [
-        p
-        for p in PHASES
-        if (p not in ("legality", "symbolic") or args.spec)
-        and (p != "complete" or args.lead)
-    ]
-
-    sections: list[tuple[str, str]] = []
-    payload: dict = {"program": program.name, "phases": {}}
-    for phase in phases:
-        if phase == "tune":
-            text, entry = _explain_tune(program, args)
-            payload["phases"]["tune"] = {
-                "entry": {
-                    k: entry[k]
-                    for k in ("params", "backend", "winner", "ranking")
-                    if entry and k in entry
-                }
-                if entry
-                else None,
-            }
-        else:
-            fn = {
-                "legality": _explain_legality,
-                "symbolic": _explain_symbolic,
-                "complete": _explain_complete,
-                "vectorize": _explain_vectorize,
-                "wavefront": _explain_wavefront,
-            }[phase]
-            text, events = fn(program, args)
-            payload["phases"][phase] = {"events": [ev.to_dict() for ev in events]}
-        sections.append((phase, text))
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    print(f"=== explain: {program.name} ===")
-    if args.verbose:
-        print(program_to_str(program))
-    for phase, text in sections:
-        print(f"\n--- {phase} ---")
-        print(text)
-    return 0
+    if as_json:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    lines = [f"=== explain: {program.name} ==="]
+    if verbose:
+        lines.append(program_to_str(program))
+    for name, text in sections:
+        lines += [f"\n--- {name} ---", text]
+    return "\n".join(lines).rstrip("\n")

@@ -471,7 +471,9 @@ def _service_divergence(program, params: dict, url: str) -> str | None:
     counter("fuzz.service_checks")
     local_analyze = analyze_op(program).render()
     try:
-        remote_analyze = AnalyzeResult.from_payload(client.analyze(src)).render()
+        remote_analyze = AnalyzeResult.from_payload(
+            client.request("analyze", program=src)
+        ).render()
     except ServiceError as exc:
         return f"service analyze raised (local analyze succeeded): {exc}"
     if remote_analyze != local_analyze:
@@ -481,12 +483,14 @@ def _service_divergence(program, params: dict, url: str) -> str | None:
     except ReproError:
         counter("fuzz.service_skips")
         try:
-            client.run(src, params)
+            client.request("run", program=src, params=params)
         except ServiceError:
             return None
         return "service ran a program the local reference execution rejects"
     try:
-        remote_run = RunResult.from_payload(client.run(src, params)).render()
+        remote_run = RunResult.from_payload(
+            client.request("run", program=src, params=params)
+        ).render()
     except ServiceError as exc:
         return f"service run raised (local run succeeded): {exc}"
     if remote_run != local_run:

@@ -10,7 +10,6 @@ if TYPE_CHECKING:
         check_equivalence, dependences_preserved, ground_truth_dependences,
         outputs_close, same_instances,
     )
-    from repro.interp.compiled import compile_program, execute_compiled
     from repro.interp.executor import ArrayStore, ExecRecord, Trace, default_init, execute
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
@@ -21,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "check_equivalence", "dependences_preserved",
         "ground_truth_dependences", "outputs_close", "same_instances",
     ),
-    "repro.interp.compiled": ("compile_program", "execute_compiled"),
     "repro.interp.executor": (
         "ArrayStore", "ExecRecord", "Trace", "default_init", "execute",
     ),

@@ -16,7 +16,7 @@ import http.client
 import json
 import time
 import urllib.parse
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.service.protocol import (
     PROTOCOL_VERSION, REQUEST_TYPES, Response, encode_request,
@@ -67,8 +67,10 @@ class ServiceClient:
             ) from None
 
     def request_full(self, op: str, **args: Any) -> Response:
-        """One protocol round trip; returns the full :class:`Response`
-        (tests assert on ``cached`` / ``coalesced``)."""
+        """One protocol round trip for any op — ``args`` are the fields
+        of its request dataclass, e.g. ``request_full("check",
+        program=src, spec="reverse(I)")`` — returning the full
+        :class:`Response` (tests assert on ``cached`` / ``coalesced``)."""
         cls = REQUEST_TYPES.get(op)
         if cls is None:
             raise ServiceError(f"unknown op {op!r}")
@@ -78,77 +80,6 @@ class ServiceClient:
     def request(self, op: str, **args: Any) -> dict:
         """One round trip; the result payload or a raised ServiceError."""
         return self.request_full(op, **args).unwrap()
-
-    # -- pipeline ops ----------------------------------------------------
-
-    def analyze(
-        self,
-        program: str,
-        *,
-        refine: bool = False,
-        sample_params: Sequence[str] | None = None,
-        jobs: int | None = None,
-    ) -> dict:
-        return self.request(
-            "analyze", program=program, refine=refine,
-            sample_params=tuple(sample_params or ()), jobs=jobs,
-        )
-
-    def check(self, program: str, spec: str, symbolic: bool = False) -> dict:
-        return self.request("check", program=program, spec=spec, symbolic=symbolic)
-
-    def transform(self, program: str, spec: str, *, simplify: bool = False) -> dict:
-        return self.request(
-            "transform", program=program, spec=spec, simplify=simplify
-        )
-
-    def complete(self, program: str, lead: str) -> dict:
-        return self.request("complete", program=program, lead=lead)
-
-    def run(
-        self,
-        program: str,
-        params: Mapping[str, int] | None = None,
-        *,
-        backend: str = "reference",
-        par_jobs: int | None = None,
-        trace: bool = False,
-    ) -> dict:
-        return self.request(
-            "run", program=program, params=dict(params or {}),
-            backend=backend, par_jobs=par_jobs, trace=trace,
-        )
-
-    def tune(
-        self,
-        program: str,
-        params: Mapping[str, int] | None = None,
-        *,
-        name: str = "",
-        **opts: Any,
-    ) -> dict:
-        return self.request(
-            "tune", program=program, name=name,
-            params=dict(params) if params else None, **opts,
-        )
-
-    def explain(
-        self,
-        program: str,
-        *,
-        name: str = "",
-        phase: str | None = None,
-        spec: str | None = None,
-        lead: str | None = None,
-        params: Mapping[str, int] | None = None,
-        as_json: bool = False,
-        verbose: bool = False,
-    ) -> dict:
-        return self.request(
-            "explain", program=program, name=name, phase=phase, spec=spec,
-            lead=lead, params=dict(params or {}), as_json=as_json,
-            verbose=verbose,
-        )
 
     # -- jobs ------------------------------------------------------------
 

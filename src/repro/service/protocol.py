@@ -10,25 +10,32 @@ and every response is::
      "cached": false, "coalesced": false, "served_ns": 1234567}
     {"protocol": 1, "ok": false, "error": "...", "error_kind": "ParseError"}
 
-Each operation has a frozen request dataclass here; the ``args`` object
-is exactly its non-``op`` fields.  :func:`decode_request` validates the
-protocol version, the op name, and the argument names/requiredness, and
-returns the typed request — the server never touches raw dicts.  The
-``result`` payload of a pipeline op is the ``to_payload()`` dict of the
-matching :mod:`repro.api` result class (see :data:`repro.api.OPS`), so a
-client reconstructs the same dataclass the CLI renders locally.
-
-Programs always travel as source text, never as file paths: the daemon
-has no business reading the client's filesystem, and canonical program
-text is what the engine pool shards by.
+Each operation has a frozen request dataclass; the ``args`` object is
+exactly its non-``op`` fields.  The seven pipeline ops' request classes
+are defined in :mod:`repro.requests` (one definition shared with the
+CLI and the daemon's dispatch through :data:`repro.api.OPS`) and
+re-exported here; the job-queue and management requests live in this
+module.  :func:`decode_request` validates the protocol version, the op
+name, the argument names/requiredness and every value against its
+field's declared type, and returns the typed request — the server never
+touches raw dicts.  The ``result`` payload of a pipeline op is the
+``to_payload()`` dict of the op's result class, so a client
+reconstructs the same dataclass the CLI renders locally.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any, ClassVar, Mapping
 
+from repro.requests import (
+    REQUESTS, AnalyzeRequest, CheckRequest, CompleteRequest, ExplainRequest,
+    RunRequest, TransformRequest, TuneRequest,
+)
 from repro.util.errors import ServiceError
 
 __all__ = [
@@ -42,104 +49,6 @@ __all__ = [
 
 #: Bumped on any incompatible change to request args or result payloads.
 PROTOCOL_VERSION = 1
-
-
-@dataclass(frozen=True)
-class AnalyzeRequest:
-    """Dependence analysis (``repro deps``)."""
-
-    op: ClassVar[str] = "analyze"
-    program: str
-    refine: bool = False
-    sample_params: tuple[str, ...] = ()
-    jobs: int | None = None
-
-
-@dataclass(frozen=True)
-class CheckRequest:
-    """Legality verdict for a transformation spec (``repro check``).
-
-    ``symbolic=True`` appeals a Theorem-2 rejection to the fractal
-    symbolic oracle (docs/SYMBOLIC.md); the field defaults off so
-    pre-symbolic clients keep working unchanged."""
-
-    op: ClassVar[str] = "check"
-    program: str
-    spec: str = ""
-    symbolic: bool = False
-
-
-@dataclass(frozen=True)
-class TransformRequest:
-    """Code generation for a legal spec (``repro transform``)."""
-
-    op: ClassVar[str] = "transform"
-    program: str
-    spec: str = ""
-    simplify: bool = False
-
-
-@dataclass(frozen=True)
-class CompleteRequest:
-    """Completion of a partial transformation (``repro complete``)."""
-
-    op: ClassVar[str] = "complete"
-    program: str
-    lead: str = ""
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """Execution with any registered backend (``repro run``)."""
-
-    op: ClassVar[str] = "run"
-    program: str
-    params: dict[str, int] = dataclasses.field(default_factory=dict)
-    backend: str = "reference"
-    par_jobs: int | None = None
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class TuneRequest:
-    """Autotuning search (``repro tune``).  Served under the program's
-    shard lock and never result-cached: the daemon's persistent tune
-    store is the cache."""
-
-    op: ClassVar[str] = "tune"
-    program: str
-    name: str = ""
-    params: dict[str, int] | None = None
-    backend: str = "source-vec"
-    beam_width: int = 4
-    depth: int = 2
-    top_k: int = 3
-    repeat: int = 3
-    use_cache: bool = True
-    force: bool = False
-    include_structural: bool = True
-    tile_sizes: tuple[int, ...] | None = None
-    max_candidates: int | None = None
-    cross_check: str = "full"
-    #: Appeal Theorem-2 rejections to the fractal symbolic oracle
-    #: (docs/SYMBOLIC.md).  Defaults off, so requests serialized by
-    #: older clients keep their exact meaning.
-    symbolic: bool = False
-
-
-@dataclass(frozen=True)
-class ExplainRequest:
-    """Decision provenance (``repro explain``)."""
-
-    op: ClassVar[str] = "explain"
-    program: str
-    name: str = ""
-    phase: str | None = None
-    spec: str | None = None
-    lead: str | None = None
-    params: dict[str, int] = dataclasses.field(default_factory=dict)
-    as_json: bool = False
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
@@ -191,8 +100,7 @@ class ShutdownRequest:
 REQUEST_TYPES: dict[str, type] = {
     cls.op: cls
     for cls in (
-        AnalyzeRequest, CheckRequest, TransformRequest, CompleteRequest,
-        RunRequest, TuneRequest, ExplainRequest,
+        *REQUESTS.values(),
         SubmitRequest, JobPollRequest, JobResultRequest, JobCancelRequest,
         PingRequest, MetricsRequest, ShutdownRequest,
     )
@@ -208,6 +116,32 @@ def encode_request(req) -> dict:
             v = list(v)
         args[f.name] = v
     return {"protocol": PROTOCOL_VERSION, "op": req.op, "args": args}
+
+
+def _conforms(value: Any, tp: Any) -> bool:
+    """Whether a JSON value has the declared field type ``tp``, without
+    coercion: ``"3"`` is not an int, and neither is ``true``."""
+    if tp is Any:
+        return True
+    origin, params = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, option) for option in params)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, params[0]) and _conforms(v, params[1])
+            for k, v in value.items()
+        )
+    if origin is tuple:  # homogeneous `tuple[X, ...]`, a JSON list on the wire
+        return isinstance(value, (list, tuple)) and all(
+            _conforms(item, params[0]) for item in value
+        )
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)
+
+
+# resolving string annotations evaluates them; once per class, not per request
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def decode_request(wire: Mapping[str, Any]):
@@ -234,9 +168,16 @@ def decode_request(wire: Mapping[str, Any]):
     if unknown:
         raise ServiceError(f"unknown argument(s) for {op!r}: {', '.join(unknown)}")
     kwargs = dict(args)
-    for f in dataclasses.fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(kwargs[f.name])
+    declared = _field_types(cls)
+    for name, value in args.items():
+        tp = declared[name]
+        if not _conforms(value, tp):
+            want = tp.__name__ if isinstance(tp, type) else str(tp)
+            raise ServiceError(
+                f"argument {name!r} of {op!r} must be {want}, got {value!r}"
+            )
+        if isinstance(value, list):
+            kwargs[name] = tuple(value)
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -3,12 +3,12 @@
 One ``ThreadingHTTPServer`` where every request thread dispatches into a
 shared :class:`ReproService`:
 
-* ``POST /v1`` — one protocol request per call (``protocol.py``); the
-  deterministic pipeline ops (analyze / check / transform / complete /
-  run / explain) are served through the engine pool's shard caches and
-  in-flight coalescing, ``tune`` runs under the program's shard lock
-  against the daemon's persistent tune store, and ``submit`` /
-  ``job_*`` drive the async job queue;
+* ``POST /v1`` — one protocol request per call (``protocol.py``), its
+  declared body length bounded by :data:`MAX_BODY_BYTES`; the pipeline
+  ops all run through :func:`repro.api.execute` — the cacheable ones
+  (:data:`repro.api.OPS`) behind the engine pool's shard caches and
+  in-flight coalescing, ``tune`` and ``explain`` under the program's
+  shard lock — and ``submit`` / ``job_*`` drive the async job queue;
 * ``GET /metrics`` — counters, gauges, ``service.request_ns.<op>``
   latency histograms, shard and job statistics as JSON;
 * ``GET /healthz`` — liveness.
@@ -43,12 +43,9 @@ __all__ = ["ReproService", "ServiceServer", "serve"]
 #: happens under the explain lock).
 EVENT_HIGH_WATER = 50_000
 
-#: Ops whose result payloads are cached per shard (pure functions of the
-#: canonical program and the request args).  ``tune`` is excluded — the
-#: persistent tune store is its cache and timings are not deterministic;
-#: ``explain`` is excluded because its tune phase reads mutable store
-#: state.
-CACHEABLE_OPS = ("analyze", "check", "transform", "complete", "run")
+#: Largest request body ``POST /v1`` reads.  Programs are source text of
+#: at most a few kilobytes; anything near this is not a request.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class ReproService:
@@ -83,14 +80,12 @@ class ReproService:
                 ok=True, result=payload, cached=cached, coalesced=coalesced
             )
         except ReproError as exc:
-            with self._metrics_lock:
-                obs.counter("service.errors")
+            self.count_error()
             # a ServiceError carries a relayed kind (e.g. a job's ParseError)
             kind = getattr(exc, "kind", None) or type(exc).__name__
             resp = Response(ok=False, error=str(exc), error_kind=kind)
         except Exception as exc:  # noqa: BLE001 - relayed, never a 500
-            with self._metrics_lock:
-                obs.counter("service.errors")
+            self.count_error()
             resp = Response(
                 ok=False,
                 error=f"internal error: {type(exc).__name__}: {exc}",
@@ -102,6 +97,10 @@ class ReproService:
             if op:
                 obs.histogram(f"service.request_ns.{op}", resp.served_ns)
         return resp
+
+    def count_error(self) -> None:
+        with self._metrics_lock:
+            obs.counter("service.errors")
 
     def _dispatch(self, req) -> tuple[dict, bool, bool]:
         op = req.op
@@ -124,7 +123,8 @@ class ReproService:
                     f"cannot submit op {req.submit_op!r} "
                     f"(submittable: {', '.join(sorted(api.OPS))})"
                 )
-            # validate args now so submit fails fast, not at job runtime
+            # validate names and values now so submit fails fast, not at
+            # job runtime
             decode_request(
                 {"protocol": PROTOCOL_VERSION, "op": req.submit_op,
                  "args": dict(req.args)}
@@ -141,14 +141,15 @@ class ReproService:
             raise ServiceError(f"unhandled op {op!r}")
 
         shard = self.pool.shard_for(req.program)
-        if op in CACHEABLE_OPS:
+        if api.OPS[op].cacheable:
             sig = self._signature(req)
             return self.pool.compute(
                 shard, sig, lambda: self._execute(req, shard.program)
             )
         # tune / explain: serialized per shard, never result-cached
         with shard.lock:
-            return self._execute(req, shard.program), False, False
+            run = self._explain if op == "explain" else self._execute
+            return run(req, shard.program), False, False
 
     @staticmethod
     def _signature(req) -> tuple:
@@ -173,61 +174,13 @@ class ReproService:
     # -- op execution ----------------------------------------------------
 
     def _execute(self, req, program) -> dict:
-        op = req.op
-        if op == "analyze":
-            return api.analyze_op(
-                program,
-                refine=req.refine,
-                sample_param_texts=list(req.sample_params) or None,
-                jobs=req.jobs,
-            ).to_payload()
-        if op == "check":
-            oracle = "symbolic" if getattr(req, "symbolic", False) else "theorem-2"
-            return api.check_op(program, req.spec, oracle=oracle).to_payload()
-        if op == "transform":
-            return api.transform_op(
-                program, req.spec, simplify=req.simplify
-            ).to_payload()
-        if op == "complete":
-            return api.complete_op(program, req.lead).to_payload()
-        if op == "run":
-            return api.run_op(
-                program,
-                {k: int(v) for k, v in req.params.items()},
-                backend=req.backend,
-                par_jobs=req.par_jobs,
-                trace=req.trace,
-            ).to_payload()
-        if op == "tune":
-            params = (
-                {k: int(v) for k, v in req.params.items()}
-                if req.params else None
-            )
-            # tune/explain renderings embed the program name, which is
-            # client-side context (not part of canonical program text) —
-            # restore it on a copy so remote output matches local output
-            if req.name:
-                program = dataclasses.replace(program, name=req.name)
-            return api.tune_op(
-                program,
-                params,
-                cache_dir=self.tune_dir,
-                backend=req.backend,
-                beam_width=req.beam_width,
-                depth=req.depth,
-                top_k=req.top_k,
-                repeat=req.repeat,
-                use_cache=req.use_cache,
-                force=req.force,
-                include_structural=req.include_structural,
-                tile_sizes=req.tile_sizes,
-                max_candidates=req.max_candidates,
-                cross_check=req.cross_check,
-                symbolic=getattr(req, "symbolic", False),
-            ).to_payload()
-        if op == "explain":
-            return self._explain(req, program)
-        raise ServiceError(f"unhandled op {op!r}")
+        fields = {
+            f.name: getattr(req, f.name)
+            for f in dataclasses.fields(req) if f.name != "program"
+        }
+        return api.execute(
+            req.op, program, fields, cache_dir=self.tune_dir
+        ).to_payload()
 
     def _explain(self, req, program) -> dict:
         # Serialized globally: the explain narrative replays the decision
@@ -238,22 +191,11 @@ class ReproService:
         # in docs/SERVICE.md.  The high-water clear keeps a long-lived
         # daemon from saturating the session's MAX_EVENTS cap (events are
         # already streamed to the sinks).
-        if req.name:
-            program = dataclasses.replace(program, name=req.name)
         with self._explain_lock:
             sess = obs.current_session()
             if sess is not None and len(sess.events) > EVENT_HIGH_WATER:
                 sess.events.clear()
-            return api.explain_op(
-                program,
-                phase=req.phase,
-                spec=req.spec,
-                lead=req.lead,
-                params={k: int(v) for k, v in req.params.items()},
-                cache_dir=self.tune_dir,
-                as_json=req.as_json,
-                verbose=req.verbose,
-            ).to_payload()
+            return self._execute(req, program)
 
     # -- metrics ---------------------------------------------------------
 
@@ -302,22 +244,41 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"ok": False, "error": f"no route {self.path}"})
 
+    def _reject(self, code: int, error: str, kind: str) -> None:
+        """Refuse a request before dispatch: count it, answer, and drop
+        the connection (a body left unread would otherwise be parsed as
+        the next request)."""
+        self.server.service.count_error()  # type: ignore[attr-defined]
+        self.close_connection = True
+        self._send_json(
+            code, Response(ok=False, error=error, error_kind=kind).to_wire()
+        )
+
     def do_POST(self):  # noqa: N802 - stdlib dispatch name
         service = self.server.service  # type: ignore[attr-defined]
         if self.path not in ("/v1", "/v1/"):
             self._send_json(404, {"ok": False, "error": f"no route {self.path}"})
             return
+        declared = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            wire = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(
-                400,
-                Response(
-                    ok=False, error=f"bad request body: {exc}",
-                    error_kind="ServiceError",
-                ).to_wire(),
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reject(400, f"bad Content-Length {declared!r}", "ServiceError")
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                "RequestTooLarge",
             )
+            return
+        try:
+            wire = json.loads(self.rfile.read(length) or b"{}")
+        except ValueError as exc:  # JSONDecodeError, or undecodable bytes
+            self._reject(400, f"bad request body: {exc}", "ServiceError")
             return
         resp = service.handle(wire)
         self._send_json(200 if resp.ok else 422, resp.to_wire())

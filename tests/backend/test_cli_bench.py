@@ -67,7 +67,7 @@ class TestBenchCommand:
         assert main(["bench", "simplified_cholesky", "--params", "N=16",
                      "--repeat", "1"]) == 0
         out = capsys.readouterr().out
-        for b in ("reference", "compiled", "source", "source-vec"):
+        for b in ("reference", "source", "source-vec", "source-par"):
             assert b in out
 
     def test_bench_json_output(self, tmp_path, capsys):

@@ -4,12 +4,13 @@ generated code, search/compiled cross-checks."""
 import numpy as np
 import pytest
 
+from repro.backend import run as run_source
 from repro.codegen import generate_code
 from repro.codegen.simplify import simplify_program
 from repro.completion import complete_transformation
 from repro.dependence import analyze_dependences
 from repro.instance import DynamicInstance, Layout, instance_vector
-from repro.interp import ArrayStore, execute, execute_compiled, outputs_close
+from repro.interp import ArrayStore, execute, outputs_close
 from repro.ir import program_to_str
 from repro.kernels import cholesky, running_example
 from repro.polyhedra import System, ge, var
@@ -59,7 +60,7 @@ class TestSimplifierOnGeneratedCholesky:
         g = generate_code(chol, res.matrix, deps)
         simp = simplify_program(g.program, System([ge(var("N"), 1)]))
         base = ArrayStore(chol, {"N": 8}).snapshot()
-        fast = execute_compiled(simp, {"N": 8}, arrays=base)
+        fast = run_source(simp, {"N": 8}, arrays=base)
         ref = np.linalg.cholesky(base["A"])
         assert np.allclose(np.tril(fast.arrays["A"]), ref, rtol=1e-8)
 
@@ -101,5 +102,5 @@ class TestSearchCrossCheck:
         base = ArrayStore(cholesky(), {"N": 12}).snapshot()
         ref = np.linalg.cholesky(base["A"])
         for r in results:
-            fast = execute_compiled(r.program, {"N": 12}, arrays=base)
+            fast = run_source(r.program, {"N": 12}, arrays=base)
             assert np.allclose(np.tril(fast.arrays["A"]), ref, rtol=1e-8), r.lead_var

@@ -113,9 +113,9 @@ def test_concurrent_tunes_share_the_persistent_store(make_daemon):
                 repeat=3, include_structural=False)
     # serial warm-up populates the daemon's tune store; the second call
     # is the deterministic cached render every concurrent tune must match
-    client.tune(src, {"N": 8}, name="cholesky", **opts)
+    client.request("tune", program=src, params={"N": 8}, name="cholesky", **opts)
     expected = api.TuneOutcome.from_payload(
-        client.tune(src, {"N": 8}, name="cholesky", **opts)
+        client.request("tune", program=src, params={"N": 8}, name="cholesky", **opts)
     )
     assert expected.from_cache
 
@@ -124,7 +124,9 @@ def test_concurrent_tunes_share_the_persistent_store(make_daemon):
 
     def worker():
         outcome = api.TuneOutcome.from_payload(
-            client.tune(src, {"N": 8}, name="cholesky", **opts)
+            client.request(
+                "tune", program=src, params={"N": 8}, name="cholesky", **opts
+            )
         )
         with lock:
             renders.append(outcome.render())
@@ -174,7 +176,7 @@ def test_sigterm_drains_and_flushes_the_trace(tmp_path):
         url = line.strip().rsplit(" ", 1)[-1]
         client = ServiceClient(url, timeout=30.0)
         client.wait_ready(timeout=15.0)
-        client.analyze(program_to_str(cholesky()))
+        client.request("analyze", program=program_to_str(cholesky()))
         assert client.ping()["pong"] is True
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=30)
@@ -213,7 +215,7 @@ def test_shutdown_drains_inflight_requests(make_daemon):
     results: list[str] = []
 
     def slow_request():
-        payload = client.run(src, {"N": 50})
+        payload = client.request("run", program=src, params={"N": 50})
         results.append(api.RunResult.from_payload(payload).render())
 
     t = threading.Thread(target=slow_request)

@@ -4,6 +4,7 @@ HTTP surface, job ops, metrics, and remote CLI integration."""
 from __future__ import annotations
 
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -12,6 +13,7 @@ from repro import api
 from repro.ir import program_to_str
 from repro.kernels import cholesky
 from repro.service.client import ServiceClient
+from repro.service.server import MAX_BODY_BYTES
 from repro.util.errors import ServiceError
 
 SRC = program_to_str(cholesky())
@@ -32,16 +34,18 @@ class TestByteIdentity:
     def test_analyze(self, daemon):
         _, client = daemon
         local = api.analyze_op(cholesky()).render()
-        remote = api.AnalyzeResult.from_payload(client.analyze(SRC)).render()
+        remote = api.AnalyzeResult.from_payload(
+            client.request("analyze", program=SRC)
+        ).render()
         assert remote == local
 
     def test_analyze_refined(self, daemon):
         _, client = daemon
         local = api.analyze_op(
-            cholesky(), refine=True, sample_param_texts=["N=5"]
+            cholesky(), refine=True, sample_params=["N=5"]
         ).render()
         remote = api.AnalyzeResult.from_payload(
-            client.analyze(SRC, refine=True, sample_params=["N=5"])
+            client.request("analyze", program=SRC, refine=True, sample_params=("N=5",))
         ).render()
         assert remote == local
 
@@ -49,7 +53,9 @@ class TestByteIdentity:
         _, client = daemon
         for spec in (LEGAL_SPEC, ILLEGAL_SPEC):
             local = api.check_op(cholesky(), spec)
-            remote = api.CheckResult.from_payload(client.check(SRC, spec))
+            remote = api.CheckResult.from_payload(
+                client.request("check", program=SRC, spec=spec)
+            )
             assert remote.render() == local.render()
             assert remote.exit_code == local.exit_code
 
@@ -57,21 +63,23 @@ class TestByteIdentity:
         _, client = daemon
         local = api.transform_op(cholesky(), LEGAL_SPEC).render()
         remote = api.TransformResult.from_payload(
-            client.transform(SRC, LEGAL_SPEC)
+            client.request("transform", program=SRC, spec=LEGAL_SPEC)
         ).render()
         assert remote == local
 
     def test_complete(self, daemon):
         _, client = daemon
         local = api.complete_op(cholesky(), "L").render()
-        remote = api.CompleteResult.from_payload(client.complete(SRC, "L")).render()
+        remote = api.CompleteResult.from_payload(
+            client.request("complete", program=SRC, lead="L")
+        ).render()
         assert remote == local
 
     def test_run_reference_and_trace(self, daemon):
         _, client = daemon
         local = api.run_op(cholesky(), {"N": 6}, trace=True).render()
         remote = api.RunResult.from_payload(
-            client.run(SRC, {"N": 6}, trace=True)
+            client.request("run", program=SRC, params={"N": 6}, trace=True)
         ).render()
         assert remote == local
 
@@ -79,7 +87,7 @@ class TestByteIdentity:
         _, client = daemon
         local = api.run_op(cholesky(), {"N": 6}, backend="source").render()
         remote = api.RunResult.from_payload(
-            client.run(SRC, {"N": 6}, backend="source")
+            client.request("run", program=SRC, params={"N": 6}, backend="source")
         ).render()
         assert remote == local
 
@@ -89,8 +97,8 @@ class TestByteIdentity:
             cholesky(), phase="legality", spec=LEGAL_SPEC
         )
         remote = api.ExplainResult.from_payload(
-            client.explain(SRC, name="cholesky", phase="legality",
-                           spec=LEGAL_SPEC)
+            client.request("explain", program=SRC, name="cholesky",
+                           phase="legality", spec=LEGAL_SPEC)
         )
         assert remote.render() == local.render()
         assert "cholesky" in remote.render()
@@ -125,13 +133,15 @@ class TestErrorRelay:
     def test_parse_error_kind(self, daemon):
         _, client = daemon
         with pytest.raises(ServiceError) as exc_info:
-            client.analyze("do without end")
+            client.request("analyze", program="do without end")
         assert exc_info.value.kind == "ParseError"
 
     def test_trace_needs_reference_backend(self, daemon):
         _, client = daemon
         with pytest.raises(ServiceError, match="reference"):
-            client.run(SRC, {"N": 4}, backend="source", trace=True)
+            client.request(
+                "run", program=SRC, params={"N": 4}, backend="source", trace=True
+            )
 
     def test_http_404(self, daemon):
         server, _ = daemon
@@ -142,6 +152,48 @@ class TestErrorRelay:
             assert err.code == 404
         else:  # pragma: no cover
             raise AssertionError("expected 404")
+
+
+class TestBodyBound:
+    """``POST /v1`` decides from ``Content-Length`` alone: it answers at
+    once, reads nothing, and leaves no handler thread blocked."""
+
+    @pytest.mark.parametrize(
+        "length,status,kind",
+        [
+            ("-1", 400, "ServiceError"),
+            ("eight", 400, "ServiceError"),
+            (str(MAX_BODY_BYTES + 1), 413, "RequestTooLarge"),
+        ],
+        ids=["negative", "non-integer", "oversize"],
+    )
+    def test_bad_length_is_refused_unread(self, daemon, length, status, kind):
+        from repro import obs
+
+        server, client = daemon
+        host, port = server.httpd.server_address[:2]
+        # the in-process daemon counts into this test's obs session
+        with obs.session(), socket.create_connection((host, port), timeout=3) as sock:
+            # headers only: a server that tried to read the body would
+            # block until this socket's timeout, not answer
+            sock.sendall(
+                f"POST /v1 HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                reply += chunk
+            errors = client.metrics()["counters"].get("service.errors")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        wire = json.loads(body)
+        assert wire["ok"] is False and wire["error_kind"] == kind
+        assert errors == 1
+        # every handler thread is gone once the sockets are: _threads is
+        # what server_close() would block joining
+        for thread in list(server.httpd._threads or ()):
+            thread.join(3)
+            assert not thread.is_alive()
 
 
 class TestJobsOverHTTP:
@@ -169,8 +221,8 @@ class TestJobsOverHTTP:
 
 def test_metrics_endpoint(daemon):
     server, client = daemon
-    client.analyze(SRC)
-    client.analyze(SRC)
+    client.request("analyze", program=SRC)
+    client.request("analyze", program=SRC)
     m = client.metrics()
     assert m["pool"]["shard_count"] == 1
     assert m["pool"]["cache_hits"] >= 1
@@ -194,7 +246,7 @@ def test_symbolic_check_served_and_counted(daemon):
     local = api.check_op(syrk(), "reverse(K)", oracle="symbolic")
     with obs.session():
         remote = api.CheckResult.from_payload(
-            client.check(syrk_src, "reverse(K)", symbolic=True)
+            client.request("check", program=syrk_src, spec="reverse(K)", symbolic=True)
         )
         m = client.metrics()
     assert remote.render() == local.render()
@@ -209,7 +261,7 @@ def test_tune_via_daemon_matches_cached_local_tune(daemon):
     opts = dict(backend="reference", beam_width=2, depth=1, top_k=1,
                 repeat=3, include_structural=False)
     first = api.TuneOutcome.from_payload(
-        client.tune(SRC, {"N": 8}, name="cholesky", **opts)
+        client.request("tune", program=SRC, params={"N": 8}, name="cholesky", **opts)
     )
     assert first.program == "cholesky"
     assert any(r.get("winner") for r in first.rows)
@@ -220,7 +272,7 @@ def test_tune_via_daemon_matches_cached_local_tune(daemon):
     )
     assert local.from_cache
     remote_again = api.TuneOutcome.from_payload(
-        client.tune(SRC, {"N": 8}, name="cholesky", **opts)
+        client.request("tune", program=SRC, params={"N": 8}, name="cholesky", **opts)
     )
     assert remote_again.from_cache
     assert remote_again.render() == local.render()

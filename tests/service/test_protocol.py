@@ -113,3 +113,50 @@ def test_response_rejects_wrong_version_and_garbage():
         Response.from_wire({"ok": True, "protocol": PROTOCOL_VERSION + 1})
     with pytest.raises(ServiceError):
         Response.from_wire({"protocol": PROTOCOL_VERSION})
+
+
+ILL_TYPED = [
+    ("analyze", {"program": 5}, "program"),
+    ("run", {"program": SRC, "params": {"N": "abc"}}, "params"),
+    ("run", {"program": SRC, "params": [1, 2]}, "params"),
+    ("check", {"program": SRC, "spec": None}, "spec"),
+    ("check", {"program": SRC, "spec": ["a"]}, "spec"),
+    ("analyze", {"program": SRC, "jobs": "x"}, "jobs"),
+    ("analyze", {"program": SRC, "sample_params": "N=5"}, "sample_params"),
+    ("tune", {"program": SRC, "top_k": "3"}, "top_k"),
+    ("tune", {"program": SRC, "force": 1}, "force"),
+    ("tune", {"program": SRC, "depth": True}, "depth"),
+]
+
+
+@pytest.fixture()
+def service():
+    from repro.service.server import ReproService
+
+    svc = ReproService()
+    yield svc
+    svc.jobs.stop()
+
+
+@pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
+@pytest.mark.parametrize("op,args,field", ILL_TYPED)
+def test_ill_typed_values_are_rejected_by_name(service, op, args, field, submitted):
+    """Values are checked against the field's declared type, never
+    coerced — directly, and inside a ``submit`` at submit time."""
+    wire = {"protocol": PROTOCOL_VERSION, "op": op, "args": args}
+    if submitted:
+        wire["op"], wire["args"] = "submit", {"submit_op": op, "args": args}
+    resp = service.handle(wire)
+    assert not resp.ok and resp.error_kind == "ServiceError"
+    assert repr(field) in resp.error and "internal error" not in resp.error
+    assert service.jobs.snapshot()["jobs"] == 0
+
+
+def test_well_typed_values_still_decode():
+    req = decode_request({
+        "protocol": PROTOCOL_VERSION, "op": "tune",
+        "args": {"program": SRC, "params": None, "tile_sizes": [8, 16],
+                 "max_candidates": 4},
+    })
+    assert req.params is None and req.tile_sizes == (8, 16)
+    assert req.max_candidates == 4
