@@ -3,8 +3,8 @@
 Measures what the engine PR claims: warm-cache dependence analysis on
 the paper's Cholesky kernel is at least 2× faster than the cold
 baseline, the parallel fan-out is bit-identical to serial analysis, and
-the canonical report-style pipeline pass reuses ≥ 30% of its
-Fourier–Motzkin queries from cache.  These entries extend the
+the canonical report-style pipeline pass does no more Fourier–Motzkin
+eliminations than FM-level reuse alone achieved.  These entries extend the
 BENCH_result.json trajectory started by the observability PR.
 """
 
@@ -67,10 +67,14 @@ def test_eng_uncached_oracle_agreement(benchmark, chol):
 
 def test_eng_parallel_bit_identical(benchmark, chol):
     """--jobs dependence analysis: bit-identical output, timed with two
-    process workers (cache warmup per worker included — honest cost)."""
+    process workers from a cold engine (a warm one answers from the
+    dependence memo and never starts a worker)."""
     serial = analyze_dependences(chol)
     parallel = benchmark.pedantic(
-        lambda: analyze_dependences(chol, jobs=2), rounds=3, iterations=1
+        lambda: analyze_dependences(chol, jobs=2),
+        setup=engine.cache_clear,
+        rounds=3,
+        iterations=1,
     )
     assert parallel.to_str() == serial.to_str()
     assert parallel.summary() == serial.summary()
@@ -90,9 +94,24 @@ def test_eng_search_threaded_identical(benchmark, chol):
     ]
 
 
+#: ``fm.eliminations`` of the deps → search pass below at the commit
+#: before the dependence memo (PR 14 parent, 9bc4d5f): the work floor the
+#: engine had already reached by FM-level reuse alone.
+PIPELINE_ELIMINATIONS_AT_PARENT = 81
+
+
 def test_eng_report_pipeline_hit_rate(benchmark):
     """The canonical pipeline pass (deps → search, as `report` runs it)
-    must reuse ≥ 30% of its FM queries from the engine cache."""
+    must do no more Fourier–Motzkin work than it did when every repeated
+    analysis reached the FM cache.
+
+    The gate used to be a ≥ 30% FM hit *rate* (41% at the parent).  The
+    search's re-analysis of the program is now answered by the engine's
+    dependence memo before any FM lookup is made, so the cheapest hits
+    no longer reach the cache and the rate reads lower (25%) for the
+    same 81 eliminations and 115 misses — the rate stopped measuring
+    reuse; the work count does.
+    """
 
     def pipeline():
         engine.cache_clear()
@@ -108,9 +127,14 @@ def test_eng_report_pipeline_hit_rate(benchmark):
     hits = counters.get("fm.cache_hits", 0)
     misses = counters.get("fm.cache_misses", 0)
     assert hits + misses > 0, "engine was never consulted"
-    rate = hits / (hits + misses)
-    print(f"\n[E-ENG] fm cache hit rate over report-style pass: {rate:.1%}")
-    assert rate >= 0.3, f"hit rate {rate:.1%} below the 30% acceptance bar"
+    assert counters.get("dependence.memo_hits", 0) >= 1, "the search re-analysed the program"
+    eliminations = counters.get("fm.eliminations", 0)
+    print(f"\n[E-ENG] report-style pass: {eliminations} eliminations, "
+          f"fm hit rate {hits / (hits + misses):.1%}, "
+          f"{counters.get('dependence.memo_hits', 0)} memo hit(s)")
+    assert 0 < eliminations <= PIPELINE_ELIMINATIONS_AT_PARENT, (
+        f"{eliminations} eliminations, parent did {PIPELINE_ELIMINATIONS_AT_PARENT}"
+    )
 
 
 def test_eng_feasibility_warm_throughput(benchmark, chol_deps):

@@ -23,11 +23,12 @@ from repro.instance.layout import EdgeCoord, Layout, LoopCoord
 from repro.instance.vectors import symbolic_vector
 from repro.ir.ast import BoundSet, Program, Statement
 from repro.ir.expr import ArrayRef, VarRef
-from repro.obs import counter, timed
+from repro.obs import counter, span
+from repro.polyhedra import engine as _engine
 from repro.polyhedra.affine import LinExpr, var
 from repro.polyhedra.constraint import eq, ge, le
 from repro.polyhedra.system import Feasibility, System
-from repro.util.errors import DependenceError
+from repro.util.errors import DependenceError, PolyhedronError
 
 __all__ = ["analyze_dependences", "AccessInfo", "statement_domain", "iter_conflicting_pairs"]
 
@@ -143,7 +144,6 @@ def iter_conflicting_pairs(program: Program) -> Iterator[tuple[AccessInfo, Acces
         yield a, b, kind
 
 
-@timed("dependence.analyze", attr_fn=lambda program, **kw: {"program": program.name})
 def analyze_dependences(
     program: Program,
     *,
@@ -162,10 +162,49 @@ def analyze_dependences(
     process pool (``0`` = one worker per CPU); the merge preserves pair
     order, so the result is bit-identical to the serial analysis.  Small
     programs and ``jobs=1`` stay serial.
+
+    The result is memoized in the query engine
+    (:mod:`repro.polyhedra.engine`) per distinct program *structure* —
+    body, params, arrays; not the name — together with
+    ``include_unknown`` and the assumptions.  ``jobs`` does not change
+    the result and a layout is determined by the program (up to its
+    ``optimize_single_edges`` switch, which is keyed).  Every call
+    returns a fresh :class:`DependenceMatrix` the caller may extend; the
+    immutable vectors are shared.  The engine's knobs (``cache_clear``,
+    ``cache_disabled``, ``REPRO_FM_CACHE=0``) force a real analysis.
     """
     layout = layout or Layout(program)
+    assume = param_assumptions or System()
+    with span("dependence.analyze", program=program.name) as sp:
+        eng = _engine.active()
+        if eng is None:
+            return _analyze(program, layout, assume, include_unknown, jobs)
+        key = (
+            program.body, program.params, program.arrays,
+            layout.optimize_single_edges, include_unknown, assume.canonical_key(),
+        )
+        deps = eng.get_analysis(key)
+        hit = deps is not _engine.MISS
+        if hit:
+            matrix = DependenceMatrix(layout, list(deps))
+        else:
+            matrix = _analyze(program, layout, assume, include_unknown, jobs)
+            eng.put_analysis(key, tuple(matrix.deps))
+        counter("dependence.memo_hits" if hit else "dependence.memo_misses")
+        if sp is not None:
+            sp.attrs["memo"] = "hit" if hit else "miss"
+        return matrix
+
+
+def _analyze(
+    program: Program,
+    layout: Layout,
+    base_assume: System,
+    include_unknown: bool,
+    jobs: int | None,
+) -> DependenceMatrix:
+    """The real §3 analysis behind :func:`analyze_dependences`' memo."""
     matrix = DependenceMatrix(layout)
-    base_assume = param_assumptions or System()
     pairs = list(iter_conflicting_pairs(program))
     njobs = resolve_jobs(jobs)
 
@@ -186,9 +225,10 @@ def analyze_dependences(
                 matrix.add(dep)
         return matrix
 
+    sides = _statement_sides(program)
     for src_acc, dst_acc, kind in pairs:
         for dep in _pair_vectors(
-            program, layout, src_acc, dst_acc, kind, base_assume, include_unknown
+            program, layout, sides, src_acc, dst_acc, kind, base_assume, include_unknown
         ):
             matrix.add(dep)
     return matrix
@@ -198,18 +238,41 @@ def analyze_dependences(
 _MIN_PAIRS_FOR_POOL = 4
 
 
+def _statement_sides(program: Program) -> dict[str, tuple[tuple[System, dict[str, str]], ...]]:
+    """Per-analysis table ``label -> ((src_domain, src_rename),
+    (dst_domain, dst_rename))``: a statement's iteration domain and
+    loop-variable rename map as the source and as the destination of a
+    dependence.
+
+    A statement takes part in many conflicting pairs (cholesky: 4
+    statements, 61 pairs) and neither its domain nor its renaming
+    depends on the partner, so each is built once per analysis (every
+    statement writes, hence pairs at least with itself).  The table
+    lives for one analysis, or one worker chunk, and is passed down.
+    """
+    sides = {}
+    for stmt in program.statements():
+        loop_vars = program.loop_vars(stmt.label)
+        sides[stmt.label] = tuple(
+            (statement_domain(program, stmt.label, prefix), {v: prefix + v for v in loop_vars})
+            for prefix in (_SRC, _DST)
+        )
+    return sides
+
+
 def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dict[str, int]]:
     """Process-pool task: evaluate the cases of a chunk of conflicting
     pairs, identified by index into the (deterministic) pair enumeration.
 
     The payload carries only picklable values (the Program, the
-    assumption System, the pair indices); the worker re-derives layout
-    and pair list, evaluates its chunk, and returns the dependence
-    vectors together with its observability-counter delta.
+    assumption System, the pair indices); the worker re-derives layout,
+    pair list and statement-side table, evaluates its chunk, and returns
+    the dependence vectors together with its observability-counter delta.
     """
     program, base_assume, include_unknown, indices = payload
     with capture_counters() as cap:
         layout = Layout(program)
+        sides = _statement_sides(program)
         pairs = list(iter_conflicting_pairs(program))
         results = []
         for i in indices:
@@ -218,7 +281,8 @@ def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dic
                 (
                     i,
                     _pair_vectors(
-                        program, layout, src_acc, dst_acc, kind, base_assume, include_unknown
+                        program, layout, sides, src_acc, dst_acc, kind, base_assume,
+                        include_unknown,
                     ),
                 )
             )
@@ -228,6 +292,7 @@ def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dic
 def _pair_vectors(
     program: Program,
     layout: Layout,
+    sides: dict,
     src_acc: AccessInfo,
     dst_acc: AccessInfo,
     kind: str,
@@ -239,11 +304,9 @@ def _pair_vectors(
     counter("dependence.pairs_tested")
     s_label = src_acc.stmt.label
     d_label = dst_acc.stmt.label
-    base = (
-        statement_domain(program, s_label, _SRC)
-        .conjoin(statement_domain(program, d_label, _DST))
-        .conjoin(base_assume)
-    )
+    (s_domain, s_rename), _ = sides[s_label]
+    _, (d_domain, d_rename) = sides[d_label]
+    base = s_domain.conjoin(d_domain).conjoin(base_assume)
     # subscript equality (same array location)
     subs_s = src_acc.subscripts()
     subs_d = dst_acc.subscripts()
@@ -251,8 +314,6 @@ def _pair_vectors(
         raise DependenceError(
             f"rank mismatch on array {src_acc.array}: {len(subs_s)} vs {len(subs_d)}"
         )
-    s_rename = {l.var: _SRC + l.var for l in program.enclosing_loops(s_label)}
-    d_rename = {l.var: _DST + l.var for l in program.enclosing_loops(d_label)}
     for es, ed in zip(subs_s, subs_d):
         base = base.and_(eq(es.rename(s_rename), ed.rename(d_rename)))
     if base.is_trivially_false():
@@ -278,7 +339,7 @@ def _pair_vectors(
             if system.find_point(clip=16) is None and _probably_empty(system):
                 continue
         dep = _summarize(
-            layout, s_label, d_label, system, kind, level_var, src_acc.array
+            layout, s_label, d_label, s_rename, d_rename, system, kind, level_var, src_acc.array
         )
         if dep is not None:
             counter("dependence.vectors")
@@ -306,6 +367,8 @@ def _summarize(
     layout: Layout,
     s_label: str,
     d_label: str,
+    s_rename: dict[str, str],
+    d_rename: dict[str, str],
     system: System,
     kind: str,
     level: str | None,
@@ -314,8 +377,6 @@ def _summarize(
     """Summarize ``L(dst) - L(src)`` per coordinate over the system."""
     s_sym = symbolic_vector(layout, s_label)
     d_sym = symbolic_vector(layout, d_label)
-    s_rename = {c.var: _SRC + c.var for c in layout.surrounding_loop_coords(s_label)}
-    d_rename = {c.var: _DST + c.var for c in layout.surrounding_loop_coords(d_label)}
 
     entries: list[DepEntry] = []
     for i, coord in enumerate(layout.coords):
@@ -328,7 +389,7 @@ def _summarize(
         probe = system.and_(eq(var(_DELTA), diff))
         try:
             lo, hi = probe.var_range(_DELTA)
-        except Exception:
+        except PolyhedronError:
             lo, hi = None, None
         entries.append(DepEntry(NEG_INF if lo is None else lo, POS_INF if hi is None else hi))
     return DepVector(s_label, d_label, tuple(entries), kind, level, array)

@@ -15,25 +15,39 @@ equal systems hit regardless of construction order.  Values are
 immutable ``System``/:class:`Feasibility` results and are shared
 between callers.
 
-Observability: every lookup bumps ``fm.cache_hits`` or
+The engine also owns the **dependence memo**: a second, small bounded
+table holding the result of a whole §3 dependence analysis per distinct
+program (:func:`repro.dependence.analyze_dependences` builds the key and
+stores an immutable tuple of dependence vectors).  One compile asks for
+the dependences of the same program from half a dozen layers; only the
+first asks the FM cache anything.  The table is separate so that an
+analysis never competes with FM results for LRU slots.
+
+Observability: every FM lookup bumps ``fm.cache_hits`` or
 ``fm.cache_misses`` and every LRU ejection bumps ``fm.cache_evictions``
 through :mod:`repro.obs` (no-ops when no session is installed); the
-same totals are always available via :func:`cache_stats`.
+same totals are always available via :func:`cache_stats`.  Dependence
+memo lookups are counted by their caller as ``dependence.memo_hits`` /
+``dependence.memo_misses`` and never touch the ``fm.*`` totals, so the
+FM hit rate keeps meaning "FM lookups".
 
-Control knobs::
+Control knobs (each governs the FM cache *and* the dependence memo —
+there is no separate switch for the memo)::
 
     from repro.polyhedra import engine
-    engine.configure(maxsize=16384)     # resize (clears the cache)
-    engine.configure(enabled=False)     # turn memoization off
-    engine.cache_clear()                # drop entries, keep config
-    with engine.cache_disabled():       # oracle mode for tests
-        ...
+    engine.configure(maxsize=16384)     # resize the FM cache (clears both tables)
+    engine.configure(enabled=False)     # turn memoization off (both tables)
+    engine.cache_clear()                # drop entries of both tables, keep config
+    with engine.cache_disabled():       # oracle mode for tests: every
+        ...                             # analysis and every FM query is real
 
-Environment variables ``REPRO_FM_CACHE`` (``0``/``false`` disables) and
-``REPRO_FM_CACHE_SIZE`` (entry count) set the initial configuration.
-The cache is thread-safe (the loop-order search queries it from a
-thread pool) and per-process (worker processes of the dependence
-fan-out each warm their own).
+Environment variables ``REPRO_FM_CACHE`` (``0``/``false`` disables both
+tables) and ``REPRO_FM_CACHE_SIZE`` (FM entry count) set the initial
+configuration; the dependence memo's bound is a constant.  The engine is
+thread-safe (the loop-order search queries it from a thread pool; two
+threads that miss on the same program both analyse it, and the second
+store wins) and per-process (worker processes of the dependence fan-out
+each warm their own).
 """
 
 from __future__ import annotations
@@ -64,6 +78,11 @@ MISS = object()
 
 _DEFAULT_MAXSIZE = 8192
 
+#: Bound of the dependence memo (entries = distinct analysed programs).
+#: A tune search analyses a few hundred candidate programs, each asked
+#: for again within the same candidate; an entry is one small tuple.
+_ANALYSIS_MEMO_SIZE = 256
+
 
 @dataclass(frozen=True)
 class EngineStats:
@@ -83,14 +102,18 @@ class EngineStats:
 
 
 class QueryEngine:
-    """A bounded, thread-safe LRU for polyhedral query results."""
+    """A bounded, thread-safe LRU for polyhedral query results, plus the
+    small dependence memo (whole-analysis results per program)."""
 
-    __slots__ = ("maxsize", "enabled", "_data", "_lock", "_hits", "_misses", "_evictions")
+    __slots__ = (
+        "maxsize", "enabled", "_data", "_analyses", "_lock", "_hits", "_misses", "_evictions",
+    )
 
     def __init__(self, maxsize: int = _DEFAULT_MAXSIZE, enabled: bool = True):
         self.maxsize = int(maxsize)
         self.enabled = enabled
         self._data: OrderedDict = OrderedDict()
+        self._analyses: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -125,12 +148,35 @@ class QueryEngine:
         if evicted:
             counter("fm.cache_evictions", evicted)
 
+    # -- dependence memo --------------------------------------------------
+
+    def get_analysis(self, key):
+        """The memoized whole-program analysis for ``key``, or
+        :data:`MISS`.  Leaves the FM hit/miss statistics untouched."""
+        with self._lock:
+            try:
+                value = self._analyses[key]
+            except KeyError:
+                return MISS
+            self._analyses.move_to_end(key)
+        return value
+
+    def put_analysis(self, key, value) -> None:
+        """Insert an analysis result (an immutable value shared between
+        callers), dropping the least recently used one when full."""
+        with self._lock:
+            self._analyses[key] = value
+            self._analyses.move_to_end(key)
+            while len(self._analyses) > _ANALYSIS_MEMO_SIZE:
+                self._analyses.popitem(last=False)
+
     # -- management -------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all entries (statistics are kept)."""
+        """Drop all entries of both tables (statistics are kept)."""
         with self._lock:
             self._data.clear()
+            self._analyses.clear()
 
     def reset_stats(self) -> None:
         with self._lock:
@@ -176,7 +222,7 @@ def active() -> QueryEngine | None:
 
 
 def configure(*, enabled: bool | None = None, maxsize: int | None = None) -> QueryEngine:
-    """Reconfigure the default engine; resizing clears the cache."""
+    """Reconfigure the default engine; resizing clears both tables."""
     eng = _default
     if enabled is not None:
         eng.enabled = enabled
@@ -187,7 +233,8 @@ def configure(*, enabled: bool | None = None, maxsize: int | None = None) -> Que
 
 
 def cache_clear() -> None:
-    """Drop every cached query result in the default engine."""
+    """Drop every cached query result and every memoized dependence
+    analysis in the default engine."""
     _default.clear()
 
 

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.dependence import analyze_dependences
 from repro.interp.executor import ArrayStore, execute
 from repro.kernels import cholesky, simplified_cholesky
+from repro.polyhedra import engine
 
 
 # -- helpers ----------------------------------------------------------------
@@ -172,8 +173,22 @@ class TestFuzzJobsMetricsParity:
         ev2 = [(e.kind, e.verdict, e.reason, e.attrs) for e in s2.events
                if e.kind == "fuzz"]
         assert ev1 == ev2
-        # the cache-independent pipeline counters match too (fm.* hit/miss
-        # splits legitimately differ: workers start with cold memo caches)
+
+    def test_serial_and_parallel_fuzz_do_identical_work(self, monkeypatch):
+        """The pipeline work counters match too — compared with
+        memoization off on both sides: like ``fm.*``, the ``dependence.*``
+        counters count work *done*, and workers start with cold memos
+        where the parent process may hold a program already analysed."""
+        from repro.fuzz.runner import fuzz_run
+
+        # forked workers inherit the switch, spawned ones read the variable
+        monkeypatch.setenv("REPRO_FM_CACHE", "0")
+        with engine.cache_disabled():
+            with obs.session() as s1:
+                fuzz_run(8, seed=3, corpus_dir=None)
+            with obs.session() as s2:
+                fuzz_run(8, seed=3, corpus_dir=None, jobs=2)
+
         deterministic = ("dependence.", "legality.", "completion.",
                          "codegen.", "interp.")
 
@@ -181,6 +196,7 @@ class TestFuzzJobsMetricsParity:
             return {k: v for k, v in counters.items()
                     if k.startswith(deterministic)}
 
+        assert picked(s1.counters)["dependence.pairs_tested"] > 0
         assert picked(s2.counters) == picked(s1.counters)
 
 
@@ -192,6 +208,7 @@ class TestParallelDependences:
     def test_bit_identical_to_serial(self, kernel):
         program = kernel()
         serial = analyze_dependences(program)
+        engine.cache_clear()  # or the memo answers and no worker runs
         parallel = analyze_dependences(program, jobs=2)
         assert parallel.to_str() == serial.to_str()
         assert parallel.summary() == serial.summary()
@@ -199,12 +216,14 @@ class TestParallelDependences:
 
     def test_worker_counters_are_merged(self):
         program = cholesky()
-        with obs.session() as s1:
-            analyze_dependences(program)
-        with obs.session() as s2:
-            analyze_dependences(program, jobs=2)
+        with engine.cache_disabled():  # both runs must do the analysis
+            with obs.session() as s1:
+                analyze_dependences(program)
+            with obs.session() as s2:
+                analyze_dependences(program, jobs=2)
         for name in ("dependence.pairs_tested", "dependence.cases_tested",
                      "dependence.vectors"):
+            assert s1.counters[name] > 0, name
             assert s2.counters.get(name) == s1.counters.get(name), name
 
 

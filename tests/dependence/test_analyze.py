@@ -224,3 +224,30 @@ def _as_instance(layout, rec):
 
     order = [c.var for c in layout.surrounding_loop_coords(rec.label)]
     return DynamicInstance(rec.label, tuple(rec.env[v] for v in order))
+
+
+class TestSummaryErrors:
+    """`_summarize` widens an entry to (-inf, +inf) only for the error
+    `var_range` raises by design; a defect in the FM layer must surface."""
+
+    def test_polyhedron_error_widens_the_entry(self, simp_chol, monkeypatch):
+        from repro.polyhedra import System, engine
+        from repro.util.errors import PolyhedronError
+
+        def no_range(self, name):
+            raise PolyhedronError("system is infeasible; no variable range")
+
+        monkeypatch.setattr(System, "var_range", no_range)
+        with engine.cache_disabled():
+            m = analyze_dependences(simp_chol)
+        assert any("*" in entry_strs(d) for d in m)
+
+    def test_any_other_error_propagates(self, simp_chol, monkeypatch):
+        from repro.polyhedra import System, engine
+
+        def broken(self, name):
+            raise ZeroDivisionError("a defect in the FM layer")
+
+        monkeypatch.setattr(System, "var_range", broken)
+        with engine.cache_disabled(), pytest.raises(ZeroDivisionError):
+            analyze_dependences(simp_chol)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main, parse_spec
+from repro.polyhedra import engine
 from repro.util.errors import ReproError
 
 SRC = """param N
@@ -135,6 +136,9 @@ class TestCommands:
 
 class TestReportCommand:
     def test_report(self, loopfile, capsys):
+        # as a fresh process: an earlier test analysed the same program,
+        # and a memoized analysis counts no dependence.* work
+        engine.cache_clear()
         assert main(["report", loopfile, "-p", "N=12"]) == 0
         out = capsys.readouterr().out
         assert "=== dependences ===" in out
@@ -160,6 +164,14 @@ class TestObservabilityFlags:
         child = next(l for l in lines if "dependence.analyze" in l)
         assert child.startswith("  ")
         assert not root.startswith(" ")
+
+    def test_profile_shows_the_dependence_memo(self, loopfile, capsys):
+        # report analyses the program, then the loop-order search asks again
+        engine.cache_clear()
+        assert main(["report", "--profile", loopfile, "-p", "N=8"]) == 0
+        err = capsys.readouterr().err
+        assert "memo=miss" in err and "memo=hit" in err
+        assert "dependence.memo_misses" in err and "dependence.memo_hits" in err
 
     def test_profile_does_not_alter_stdout(self, loopfile, capsys):
         assert main(["transform", loopfile, "reverse(J)"]) == 0

@@ -17,7 +17,7 @@ from repro.ir import parse_program
 from repro.kernels import cholesky, random_program, simplified_cholesky
 from repro.legality import check_legality
 from repro.linalg import IntMatrix
-from repro.polyhedra import engine
+from repro.polyhedra import System, engine, ge, le, var
 from repro.transform import permutation, reversal, skew
 
 
@@ -223,13 +223,22 @@ class TestLatencyHistograms:
         analyze_dependences(simplified_cholesky())
         sess = obs.current_session()
         cold_hits = sess.histograms["fm.cache_hit_ns"].count
-        assert sess.histograms["fm.query_ns"].count > 0
-        # a warm re-run answers from the memoized engine: only the
-        # cache-hit histogram grows
         cold_queries = sess.histograms["fm.query_ns"].count
+        assert cold_queries > 0
+        assert sess.counters["dependence.memo_misses"] == 1
+        # a warm re-run is answered by the engine's dependence memo: no
+        # FM query is made at all, hit or miss
         analyze_dependences(simplified_cholesky())
+        assert sess.counters["dependence.memo_hits"] == 1
+        assert sess.counters["dependence.memo_misses"] == 1
         assert sess.histograms["fm.query_ns"].count == cold_queries
-        assert sess.histograms["fm.cache_hit_ns"].count > cold_hits
+        assert sess.histograms["fm.cache_hit_ns"].count == cold_hits
+        # the FM cache underneath still answers a repeated query itself:
+        # only the cache-hit histogram grows
+        system = System([ge(var("i"), 1), le(var("i"), var("N")), ge(var("N"), 3)])
+        assert system.feasible() is system.feasible()
+        assert sess.histograms["fm.query_ns"].count == cold_queries + 1
+        assert sess.histograms["fm.cache_hit_ns"].count == cold_hits + 1
 
     def test_codegen_time_histogram(self, mem):
         from repro.codegen import generate_code

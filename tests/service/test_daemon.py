@@ -256,6 +256,22 @@ def test_symbolic_check_served_and_counted(daemon):
     assert "symbolic.check_ns" in m["histograms"]
 
 
+def test_dependence_memo_counted_on_metrics(daemon):
+    """Two ops on one program: the result cache cannot answer the second
+    (another op), the engine's dependence memo answers its analysis."""
+    from repro import obs
+    from repro.polyhedra import engine
+
+    _, client = daemon
+    engine.cache_clear()
+    with obs.session():
+        client.request("analyze", program=SRC)
+        client.request("check", program=SRC, spec="reverse(J)")
+        m = client.metrics()
+    assert m["counters"].get("dependence.memo_misses", 0) == 1
+    assert m["counters"].get("dependence.memo_hits", 0) >= 1
+
+
 def test_tune_via_daemon_matches_cached_local_tune(daemon):
     server, client = daemon
     opts = dict(backend="reference", beam_width=2, depth=1, top_k=1,
