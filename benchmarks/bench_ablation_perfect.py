@@ -28,9 +28,9 @@ def test_a2_vectors_degenerate(benchmark):
     assert v == (3, 4)
 
 
-def test_a2_dependences_degenerate(benchmark):
+def test_a2_dependences_degenerate(benchmark_cold):
     p = parse_program(PERFECT_SRC)
-    m = benchmark(analyze_dependences, p)
+    m = benchmark_cold(analyze_dependences, p)
     cols = sorted(tuple(d.entry_strs()) for d in m)
     print(f"\n[A2] dependence columns: {cols} (classical distances (1,0),(0,1))")
     assert ("1", "0") in cols and ("0", "1") in cols

@@ -88,9 +88,8 @@ def test_e14_transformation_search(benchmark, chol):
 
 def test_e15_reuse_distance_engine(benchmark, chol):
     """Guard for the O(n log n) Fenwick reuse-distance engine: correct
-    against the textbook O(n²) LRU stack on a modest trace, benchmarked
-    on a long one (compare.py's wall-clock gate catches regressions —
-    the old ``stack.index`` scan was ~50x slower at this trace length)."""
+    against the textbook O(n²) LRU stack on a modest trace, timed on a
+    long one."""
     import numpy as np
 
     from repro.analysis.locality import reuse_distances

@@ -14,7 +14,8 @@ from repro.backend import bench_backends, run
 from repro.kernels import cholesky, jacobi_1d
 
 #: Loose thresholds for the headline speedups — CI runners are noisy;
-#: the measured numbers (BENCH_result.json) tell the real story.
+#: the measured numbers (printed below, and the `kernel_run` ledger
+#: workload) tell the real story.
 SOURCE_MIN_SPEEDUP = 5.0
 VEC_MIN_GAIN = 1.5
 

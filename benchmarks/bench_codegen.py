@@ -5,6 +5,7 @@ augmentation, bounds, guards, simplification, and the semantic oracle.
 
 from repro.codegen import generate_code
 from repro.codegen.simplify import peel_iteration, simplify_program
+from repro.dependence import analyze_dependences
 from repro.instance import Layout
 from repro.interp import check_equivalence
 from repro.ir import program_to_str
@@ -17,8 +18,9 @@ ASSUME = System([ge(var("N"), 1)])
 def test_e7_generate_skewed_code(benchmark, aug):
     lay = Layout(aug)
     matrix = skew(lay, "I", "J", -1).matrix
+    deps = analyze_dependences(aug)
 
-    g = benchmark(generate_code, aug, matrix)
+    g = benchmark(generate_code, aug, matrix, deps)
     print("\n[E7] generated code for the §5.4 skewing example:")
     print(program_to_str(g.program, header=False))
     print("[E7] paper: do I = 1-N..0 { do J = 1-I..min(N,N-I): S2 };"
@@ -58,7 +60,6 @@ def test_e7_equivalence_oracle(benchmark, aug):
 
 def test_e7_codegen_scales_with_size(benchmark, chol):
     """Full-pipeline wall time on the 7-dimensional Cholesky space."""
-    from repro.dependence import analyze_dependences
     from repro.transform import permutation
 
     lay = Layout(chol)

@@ -9,8 +9,8 @@ from repro.dependence import analyze_dependences
 from repro.kernels import augmentation_example, lu_factorization
 
 
-def test_e3_simplified_cholesky_matrix(benchmark, simp_chol):
-    m = benchmark(analyze_dependences, simp_chol)
+def test_e3_simplified_cholesky_matrix(benchmark_cold, simp_chol):
+    m = benchmark_cold(analyze_dependences, simp_chol)
     cols = sorted(tuple(d.entry_strs()) for d in m)
     print("\n[E3] measured dependence columns of simplified Cholesky:")
     print(m.to_str())
@@ -20,9 +20,9 @@ def test_e3_simplified_cholesky_matrix(benchmark, simp_chol):
     assert ("+", "-1", "1", "0") in cols
 
 
-def test_e3_section54_matrix_exact(benchmark):
+def test_e3_section54_matrix_exact(benchmark_cold):
     aug = augmentation_example()
-    m = benchmark(analyze_dependences, aug)
+    m = benchmark_cold(analyze_dependences, aug)
     cols = sorted(tuple(d.entry_strs()) for d in m)
     print("\n[E3b] measured §5.4 dependence matrix:")
     print(m.to_str())
@@ -30,8 +30,8 @@ def test_e3_section54_matrix_exact(benchmark):
     assert cols == [("1", "-1", "1", "-1"), ("1", "0", "0", "1")]
 
 
-def test_e8_cholesky_matrix(benchmark, chol):
-    m = benchmark(analyze_dependences, chol)
+def test_e8_cholesky_matrix(benchmark_cold, chol):
+    m = benchmark_cold(analyze_dependences, chol)
     cols = {tuple(d.entry_strs()) for d in m}
     print("\n[E8] measured Cholesky dependence matrix (§6):")
     print(m.to_str())
@@ -72,8 +72,8 @@ def test_e8_value_based_refinement(benchmark, chol):
     assert ("1", "-1", "0", "1", "0", "0", "1") in cols
 
 
-def test_e8_analysis_scales_with_program(benchmark):
+def test_e8_analysis_scales_with_program(benchmark_cold):
     """Dependence analysis wall time on the largest kernel (LU)."""
     lu = lu_factorization()
-    m = benchmark(analyze_dependences, lu)
+    m = benchmark_cold(analyze_dependences, lu)
     assert len(m) >= 4

@@ -16,9 +16,9 @@ from repro.polyhedra import System, ge, le, var
 
 
 @pytest.mark.parametrize("seed", [3, 11, 19])
-def test_scaling_dependence_analysis_random(benchmark, seed):
+def test_scaling_dependence_analysis_random(benchmark_cold, seed):
     p = random_program(seed, max_depth=3, max_children=3)
-    m = benchmark(analyze_dependences, p)
+    m = benchmark_cold(analyze_dependences, p)
     lay = Layout(p)
     print(f"\n[scaling] seed={seed}: dim={lay.dimension}, deps={len(m)}")
 

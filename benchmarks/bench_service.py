@@ -5,13 +5,12 @@ cold ``repro`` CLI subprocess that pays interpreter start-up, parse,
 and a from-scratch dependence analysis on every call — while staying
 byte-identical to the cold path on every response.
 
-The assertions mirror the service-smoke acceptance bar: the warm
-daemon at least ``SERVICE_MIN_SPEEDUP`` (5x) over the cold CLI on
+The assertions are the service-smoke acceptance bar: the warm daemon
+at least ``SERVICE_MIN_SPEEDUP`` (5x) over the cold CLI on
 cholesky/trmm/seidel, byte-exact renders, and a clean sustained-load
-pass under 8 concurrent clients.  docs/SERVICE.md has the protocol and
-the caching semantics; benchmarks/emit.py collects the gated table
-(``REPRO_BENCH_SERVICE=1``) that compare.py and the history ledger
-consume.
+pass under 8 concurrent clients.  The cold side forks real CLI
+subprocesses, so the module costs a few seconds.  docs/SERVICE.md has
+the protocol and the caching semantics.
 """
 
 import os
@@ -27,14 +26,7 @@ from repro import api
 from repro.ir import program_to_str
 from repro.kernels import cholesky, seidel_2d, trmm
 
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_SERVICE", "0") != "1",
-    reason="service benchmark is opt-in: set REPRO_BENCH_SERVICE=1 "
-    "(it forks cold CLI subprocesses)",
-)
-
-#: The compare.py gate floor, restated here so a local `pytest
-#: benchmarks/bench_service.py` fails the same way CI's service-smoke does.
+#: The E20 floor: a warm daemon request against a cold CLI subprocess.
 SERVICE_MIN_SPEEDUP = 5.0
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,19 +89,28 @@ def _warm_seconds(request, repeat=20):
 
 def test_e20_warm_daemon_beats_cold_cli(service, benchmark):
     _, client, files = service
-    print("\n[E20] warm daemon vs cold CLI (analyze):")
+    sources = {p.name: program_to_str(p) for p in (cholesky(), trmm(), seidel_2d())}
+    rows = [
+        (f"{name} analyze", ["deps", files[name]],
+         lambda src=src: client.request("analyze", program=src))
+        for name, src in sources.items()
+    ]
+    rows.append((
+        "cholesky transform", ["transform", files["cholesky"], "skew(I,K,1)"],
+        lambda: client.request(
+            "transform", program=sources["cholesky"], spec="skew(I,K,1)"),
+    ))
+    print("\n[E20] warm daemon vs cold CLI:")
     speedups = {}
-    for factory in (cholesky, trmm, seidel_2d):
-        program = factory()
-        src = program_to_str(program)
-        cold_s = _cold_seconds(["deps", files[program.name]])
-        warm_s = _warm_seconds(lambda src=src: client.request("analyze", program=src))
-        speedups[program.name] = cold_s / warm_s
+    for name, argv, request in rows:
+        cold_s = _cold_seconds(argv)
+        warm_s = _warm_seconds(request)
+        speedups[name] = cold_s / warm_s
         print(
-            f"  {program.name:12s} cold {cold_s * 1e3:8.1f} ms  "
+            f"  {name:20s} cold {cold_s * 1e3:8.1f} ms  "
             f"warm {warm_s * 1e3:8.3f} ms  {cold_s / warm_s:8.1f}x"
         )
-    benchmark(client.request, "analyze", program=program_to_str(cholesky()))
+    benchmark(client.request, "analyze", program=sources["cholesky"])
     for name, speedup in speedups.items():
         assert speedup >= SERVICE_MIN_SPEEDUP, (
             f"{name}: warm path only {speedup:.1f}x faster than the cold "

@@ -1,6 +1,9 @@
 """E21 — the fractal symbolic oracle (docs/SYMBOLIC.md): consultation
 latency on the rescue zoo, and the cost split between the three
-verdicts.  The oracle only ever runs after a Theorem-2 rejection, so
+verdicts.  Each test pins its verdict (three certified rescues whose
+certificates re-verify, one honest mismatch): a normalizer that starts
+certifying everything fails here before it fails in the fuzzer.  The
+oracle only ever runs after a Theorem-2 rejection, so
 its per-consultation wall clock is the price of every appeal — the
 ``symbolic.check_ns`` histogram in production, timed directly here.
 """
@@ -22,13 +25,17 @@ def test_e21_syrk_reverse_certified(benchmark):
 
 def test_e21_syrk_blocked_reverse_certified(benchmark):
     """Blocking then reversing the reduction — two rejections deep."""
-    out = benchmark(prove_schedule, syrk(), "tile(K,2); reverse(KT)")
+    program = syrk()
+    out = benchmark(prove_schedule, program, "tile(K,2); reverse(KT)")
     assert out.verdict == "symbolic-legal"
+    assert verify_certificate(program, out.certificate)
 
 
 def test_e21_trsv_reverse_certified(benchmark):
-    out = benchmark(prove_schedule, trsv(), "reverse(J)")
+    program = trsv()
+    out = benchmark(prove_schedule, program, "reverse(J)")
     assert out.verdict == "symbolic-legal"
+    assert verify_certificate(program, out.certificate)
 
 
 def test_e21_cholesky_reverse_mismatch(benchmark):

@@ -27,10 +27,11 @@ PARAMS = {"N": 40}
 CACHE_MIN_SPEEDUP = 5.0
 
 
-def test_e17_tuned_cholesky_not_slower(tmp_path, chol):
-    res = tune(chol, PARAMS, store=TuneStore(tmp_path / "cache"), **FAST)
+@pytest.mark.parametrize("factory", [cholesky, simplified_cholesky])
+def test_e17_tuned_never_slower_than_default(tmp_path, factory):
+    res = tune(factory(), PARAMS, store=TuneStore(tmp_path / "cache"), **FAST)
     assert res.ok
-    print(f"\n[E17] Cholesky N={PARAMS['N']} tuned schedule ranking:")
+    print(f"\n[E17] {factory.__name__} N={PARAMS['N']} tuned schedule ranking:")
     for row in sorted(res.rows, key=lambda r: r.seconds or float("inf")):
         mark = "*" if row is res.best else " "
         print(f"  {mark} {row.description:28s} {row.seconds * 1e3:9.3f} ms")

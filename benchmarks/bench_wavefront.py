@@ -22,8 +22,8 @@ from repro.codegen.simplify import simplify_program
 from repro.kernels import seidel_2d
 from repro.transform.spec import parse_schedule
 
-#: The compare.py gate floor, restated here so a local `pytest
-#: benchmarks/bench_wavefront.py` fails the same way CI's par-smoke does.
+#: The E19 floor: source-par must beat the scalar source emission on the
+#: skewed stencil, not tie it.
 WAVEFRONT_MIN_SPEEDUP = 1.2
 
 

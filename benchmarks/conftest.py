@@ -3,8 +3,11 @@
 Every benchmark regenerates one of the paper's artifacts (figures,
 matrices, code listings) or quantified claims, times the pipeline piece
 that produces it, and asserts the paper's qualitative *shape* (who
-wins, what is legal, which columns appear).  See EXPERIMENTS.md for the
-experiment index and the paper-vs-measured record.
+wins, what is legal, which columns appear) with plain asserts — the
+assert is the gate; nothing is written at session end.  See
+EXPERIMENTS.md for the experiment index and the paper-vs-measured
+record; performance over time is BENCH_history.jsonl, fed by
+ledger/run.py (benchmarks/history.py).
 """
 
 from __future__ import annotations
@@ -14,19 +17,23 @@ import pytest
 from repro.dependence import analyze_dependences
 from repro.instance import Layout
 from repro.kernels import augmentation_example, cholesky, simplified_cholesky
+from repro.polyhedra import engine
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Dump per-benchmark timings plus one canonical pipeline pass's obs
-    counters to BENCH_result.json (see benchmarks/emit.py)."""
-    if getattr(session.config, "workerinput", None) is not None:
-        return  # xdist worker; only the controller writes
-    try:
-        from benchmarks.emit import write_bench_result
+@pytest.fixture
+def benchmark_cold(benchmark):
+    """``benchmark`` with the engine cleared before every round.  A plain
+    ``benchmark(analyze_dependences, p)`` times a hit in the engine's
+    dependence memo from round two on; anything that means to time the
+    analysis itself goes through here."""
 
-        write_bench_result(session.config)
-    except Exception as exc:  # never fail the suite over reporting
-        print(f"\n[benchmarks] BENCH_result.json not written: {exc}")
+    def run(fn, *args, rounds=5, **kwargs):
+        return benchmark.pedantic(
+            fn, args=args, kwargs=kwargs, setup=engine.cache_clear,
+            rounds=rounds, iterations=1,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.analysis.parallel_exec import map_in_threads, resolve_jobs
 from repro.codegen.generate import GeneratedProgram, generate_code
 from repro.codegen.simplify import simplify_program
 from repro.dependence.analyze import analyze_dependences
@@ -76,7 +75,6 @@ def search_loop_orders(
     deps: DependenceMatrix | None = None,
     leads: Sequence[str] | None = None,
     verify: bool = True,
-    jobs: int | None = None,
     backend: str | None = None,
     repeat: int = 3,
 ) -> list[SearchResult]:
@@ -95,17 +93,12 @@ def search_loop_orders(
     checked semantically equivalent to the source on ``params`` before
     being ranked — an illegal variant slipping through would be a bug,
     so this doubles as a self-check.
-
-    ``jobs`` runs the per-lead complete→codegen→verify→simulate pipeline
-    on a thread pool (``0`` = one per CPU).  All variants share one
-    dependence matrix and the process-wide polyhedral query-engine cache;
-    ranking is deterministic, so the result order matches serial runs.
     """
     from repro.tune.space import lead_candidate, make_context
 
     layout = Layout(program)
     if deps is None:
-        deps = analyze_dependences(program, layout=layout, jobs=jobs)
+        deps = analyze_dependences(program, layout=layout)
     ctx = make_context(program, deps, layout=layout)
     candidates = (
         [layout.loop_coord_by_var(v) for v in leads]
@@ -113,9 +106,9 @@ def search_loop_orders(
         else layout.loop_coords()
     )
     params = dict(params)
-    # One shared initial-state snapshot per search.  Workers never mutate
+    # One shared initial-state snapshot per search.  No variant may mutate
     # it — execute() copies initial arrays into a fresh store — and the
-    # write=False flag enforces that invariant under the thread pool.
+    # write=False flag enforces that invariant.
     base = ArrayStore(program, params).snapshot()
     for arr in base.values():
         arr.setflags(write=False)
@@ -154,8 +147,7 @@ def search_loop_orders(
             coord.var, pretty, generated, stats.accesses, stats.misses, seconds
         )
 
-    evaluated = map_in_threads(evaluate, candidates, jobs=resolve_jobs(jobs))
-    results = [r for r in evaluated if r is not None]
+    results = [r for r in map(evaluate, candidates) if r is not None]
     if backend is not None:
         results.sort(key=lambda r: (r.seconds, r.lead_var))
     else:

@@ -582,8 +582,7 @@ OPS: dict[str, Op] = {
         Op("transform", TransformResult, transform_op),
         Op("complete", CompleteResult, complete_op, context=("jobs",)),
         Op("run", RunResult, run_op),
-        Op("tune", TuneOutcome, tune_op, cacheable=False,
-           context=("cache_dir", "jobs")),
+        Op("tune", TuneOutcome, tune_op, cacheable=False, context=("cache_dir",)),
         Op("explain", ExplainResult, explain_op, cacheable=False,
            context=("cache_dir", "jobs")),
     )

@@ -296,9 +296,7 @@ def cmd_report(args) -> int:
     backend = getattr(args, "backend", None)
     search_error = None
     try:
-        results = search_loop_orders(
-            program, params, verify=False, jobs=args.jobs, backend=backend
-        )
+        results = search_loop_orders(program, params, verify=False, backend=backend)
     except Exception as exc:  # pragma: no cover - workload-dependent
         search_error = str(exc)
         results = []
@@ -425,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="fan dependence analysis / loop-order search out over N workers "
+        help="fan dependence analysis out over N worker processes "
         "(0 = one per CPU; results are identical to serial runs)",
     )
 
@@ -538,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "tune",
         help="autotune: search legal schedules, measure, cache the winner",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file", help="a .loop file (extension optional) or bundled kernel name")
     p.add_argument("-p", "--param", "--params", action="append", dest="param",

@@ -58,7 +58,6 @@ from repro.tune.space import (
 )
 from repro.tune.store import TuneStore
 from repro.util.errors import ReproError, TuneError
-from repro.util.parallel_exec import map_in_threads, resolve_jobs
 
 __all__ = [
     "TunedRow", "TuneResult", "tune", "apply_entry", "load_tuned",
@@ -327,7 +326,6 @@ def tune(
     depth: int = 2,
     top_k: int = 3,
     repeat: int = MIN_TIMING_REPS,
-    jobs: int | None = None,
     store: TuneStore | None = None,
     use_cache: bool = True,
     force: bool = False,
@@ -350,10 +348,8 @@ def tune(
     ``.repro_tune/``); a warm call with the same (program, params,
     version) key returns without searching.
 
-    ``jobs`` fans the legality+scoring stage out over threads (``0`` =
-    one per CPU); ranking stays deterministic.  ``force`` re-searches
-    even on a cache hit (and overwrites the entry); ``use_cache=False``
-    skips the store entirely.
+    ``force`` re-searches even on a cache hit (and overwrites the
+    entry); ``use_cache=False`` skips the store entirely.
 
     ``tile_sizes`` enables strip-mined variants (``--tile`` passes the
     default ladder); when set, the beam and the measured set reserve
@@ -405,10 +401,7 @@ def tune(
         counter("tune.candidates.enumerated", enumerated)
         root_identity = candidates[0]  # identity of the original context
 
-        outcomes = map_in_threads(
-            lambda c: _assess(c, params, audit, symbolic), candidates,
-            jobs=resolve_jobs(jobs)
-        )
+        outcomes = [_assess(c, params, audit, symbolic) for c in candidates]
         pruned = sum(1 for s, *_ in outcomes if s == "pruned")
         pool: dict[tuple, tuple[Candidate, CostReport]] = {}
         rescued_keys: set[tuple] = set()
@@ -450,11 +443,7 @@ def tune(
             level_cands = cap_candidates(
                 list(fresh.values()), cap, f"beam-level-{_level}"
             )
-            outcomes = map_in_threads(
-                lambda c: _assess(c, params, audit, symbolic),
-                level_cands,
-                jobs=resolve_jobs(jobs),
-            )
+            outcomes = [_assess(c, params, audit, symbolic) for c in level_cands]
             enumerated += len(level_cands)
             counter("tune.candidates.enumerated", len(level_cands))
             pruned += sum(1 for s, *_ in outcomes if s == "pruned")

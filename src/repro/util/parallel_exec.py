@@ -1,24 +1,20 @@
 """Fan-out helpers for the parallel pipeline paths (``--jobs N``).
 
-Two executors, two policies:
+:func:`map_in_processes` is CPU-bound fan-out across *processes* with a
+picklable task encoding.  :func:`repro.dependence.analyze.analyze_dependences`
+uses it to split its statement-pair × depth case matrix and
+:func:`repro.fuzz.runner.fuzz_run` to spread its cases.  Each worker
+process captures its observability counters and returns them alongside
+the results so the parent can merge the deltas (spans stay parent-side;
+counters stay exact).
 
-* :func:`map_in_processes` — CPU-bound fan-out across *processes* with a
-  picklable task encoding.  Used by
-  :func:`repro.dependence.analyze.analyze_dependences` to split its
-  statement-pair × depth case matrix.  Each worker process captures its
-  observability counters and returns them alongside the results so the
-  parent can merge the deltas (spans stay parent-side; counters stay
-  exact).
-* :func:`map_in_threads` — concurrency across *threads* sharing one
-  address space.  Used by :func:`repro.analysis.search.search_loop_orders`
-  so every lead variant shares the same dependence matrix and the same
-  (thread-safe) polyhedral query-engine cache.
-
-Both fall back to plain serial iteration when ``jobs`` resolves to 1,
+It falls back to plain serial iteration when ``jobs`` resolves to 1,
 when the task list is too small to amortize pool startup, or when a
 pool cannot be created at all (restricted environments); results are
 always returned in task order, so parallel output is bit-identical to
-serial output.
+serial output.  There is no thread fan-out: the per-candidate work is
+pure Python under the GIL and measured no faster on two threads
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ __all__ = [
     "resolve_jobs",
     "chunk_round_robin",
     "map_in_processes",
-    "map_in_threads",
     "capture_counters",
     "merge_counters",
     "merge_metrics",
@@ -204,27 +199,4 @@ def map_in_processes(
         # pool creation or pickling failed (sandboxed env, nested pools,
         # unpicklable payload): the serial path is always correct.
         counter("parallel.process_pool_fallbacks")
-        return [fn(t) for t in tasks]
-
-
-def map_in_threads(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    *,
-    jobs: int,
-    min_tasks: int = MIN_TASKS_FOR_POOL,
-) -> list[R]:
-    """Apply ``fn`` to ``tasks`` across a thread pool; results come back
-    in task order.  Tasks share the process state (dependence matrix,
-    query-engine cache), so ``fn`` must only read shared structures."""
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1 or len(tasks) < min_tasks:
-        return [fn(t) for t in tasks]
-    try:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    except Exception:
-        counter("parallel.thread_pool_fallbacks")
         return [fn(t) for t in tasks]
