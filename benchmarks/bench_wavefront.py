@@ -1,22 +1,20 @@
 """E19 — the wavefront backend's wall-clock claim: after ``skew(I,J,1)``
 turns a 2-D Gauss-Seidel sweep's diagonal dependences into DOALL
 hyperplane fronts, the ``source-par`` backend executes each front as one
-flat strided slice (dispatched across the worker pool when fronts are
-wide enough) and beats the scalar ``source`` emission while staying
-bit-exact against the reference interpreter.
+NumPy assignment through flat strided views and beats the scalar
+``source`` emission while staying bit-exact against the reference
+interpreter.
 
-The assertions mirror the par-smoke acceptance bar: ``source-par`` at
-least ``WAVEFRONT_MIN_SPEEDUP`` (1.2x) over ``source`` on the skewed
-stencil, bit-exact everywhere.  Cholesky rides along as the
-narrow-front counterexample — its triangular fronts shrink to nothing,
-so only correctness is asserted there.  docs/PARALLEL.md has the
-detection rule and the determinism argument.
+The asserts are the gate: ``source-par`` at least
+``WAVEFRONT_MIN_SPEEDUP`` (1.2x) over ``source`` on the skewed stencil,
+bit-exact everywhere.  Cholesky rides along as the narrow-front
+counterexample — no reference there needs a flat view, so only
+correctness is asserted.  docs/PARALLEL.md has the flat-view rule and
+the argument for it.
 """
 
-import os
-
 from repro import obs
-from repro.backend import bench_backends, run
+from repro.backend import bench_backends, lower_program, run
 from repro.codegen import generate_code
 from repro.codegen.simplify import simplify_program
 from repro.kernels import seidel_2d
@@ -37,11 +35,10 @@ def _skewed_seidel():
 
 
 def _rows_by_backend(program, params, repeat=2):
-    jobs = int(os.environ.get("REPRO_PAR_JOBS", "0")) or None
     rows = bench_backends(
         program, params,
         backends=("reference", "source", "source-par"),
-        repeat=repeat, par_jobs=jobs,
+        repeat=repeat,
     )
     return {r.backend: r for r in rows}
 
@@ -72,14 +69,16 @@ def test_e19_cholesky_narrow_fronts_stay_exact(benchmark, chol):
     assert all(r.ok is True and not r.error for r in by.values())
 
 
-def test_e19_front_metrics_emitted():
-    """One source-par run emits the backend.wavefront.* telemetry the
-    par-smoke trace artifact and `repro explain --phase wavefront` read."""
+def test_e19_flat_loop_reported():
+    """Lowering the skewed stencil for source-par reports its front loop
+    as a flat-view loop — the ``backend.flat_loops`` counter and the
+    ``mode=flat`` vectorize event that `repro explain --phase vectorize`
+    prints."""
     p = _skewed_seidel()
-    mem = obs.MemorySink()
-    with obs.session(mem) as sess:
-        run(p, {"N": 64}, backend="source-par")
+    with obs.session() as sess:
+        lowered = lower_program(p, vectorize=True, parallel=True)
         counters = dict(sess.counters)
-        widths = sess.histograms.get("backend.wavefront.front_width")
-    assert counters.get("backend.wavefront.fronts", 0) > 0
-    assert widths is not None and widths.p50 >= 1
+        flat = [ev for ev in sess.events
+                if ev.kind == "vectorize" and ev.attrs.get("mode") == "flat"]
+    assert lowered.flat_loops == counters["backend.flat_loops"] == 1
+    assert [ev.attrs["loop"] for ev in flat if ev.verdict == "accept"] == ["J"]

@@ -388,7 +388,7 @@ class ExplainResult(_Payload):
 
 
 #: Phases ``explain --phase`` accepts, in pipeline order.
-EXPLAIN_PHASES = ("legality", "symbolic", "complete", "vectorize", "wavefront", "tune")
+EXPLAIN_PHASES = ("legality", "symbolic", "complete", "vectorize", "tune")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,6 @@ def run_op(
     params: Mapping[str, int],
     *,
     backend: str = "reference",
-    par_jobs: int | None = None,
     trace: bool = False,
 ) -> RunResult:
     """Execute a program with any registered backend."""
@@ -494,7 +493,7 @@ def run_op(
         raise ReproError("--trace requires --backend reference")
     from repro.backend import run as backend_run
 
-    store = backend_run(program, dict(params), backend=backend, par_jobs=par_jobs)
+    store = backend_run(program, dict(params), backend=backend)
     return RunResult(dict(store.arrays))
 
 

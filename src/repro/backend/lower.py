@@ -36,15 +36,12 @@ Lowering rules (see docs/BACKENDS.md for the full catalogue):
 * innermost DOALL loops whose statement passes
   :func:`repro.backend.vectorize.plan_vector_loop` become a single NumPy
   slice assignment (``vectorize=True`` only);
-* with ``parallel=True`` (the ``source-par`` backend), the outermost
-  DOALL loop of each subtree becomes a *wavefront* loop: its body is
-  emitted as a local function and every front (one value range of the
-  loop) is dispatched through
-  :func:`repro.backend.wavefront._wf_dispatch`, which chunks it across
-  a worker pool with a barrier per front.  Single-statement fronts
-  render as flat strided views (``_fview``/``_fread``), which — unlike
-  per-dimension slices — also map references varying with the front
-  variable in several dimensions (the diagonals skewing produces).
+* with ``parallel=True`` (the ``source-par`` backend) that planner also
+  admits references varying with the loop variable in several
+  dimensions — the diagonals skewing produces inside a hyperplane
+  front — which render as flat strided views (``_fview``/``_fread``)
+  of the C-ordered array.  Everything else is the ``source-vec``
+  emission; no threads are involved (docs/PARALLEL.md).
 
 The scalar path is *exact*: it produces bit-identical floats to the
 reference executor.  The backend does not re-validate subscript ranges
@@ -63,9 +60,6 @@ import numpy as np
 
 from repro.backend.vectorize import (
     VEC_FUNCTIONS, VecPlan, doall_loop_vars, plan_vector_loop,
-)
-from repro.backend.wavefront import (
-    FrontPlan, _fread, _fview, _wf_dispatch, collect_front_plans,
 )
 from repro.ir.ast import (
     ArrayDecl, BoundSet, ExprCondition, Guard, HullBound, Loop, Node, Program,
@@ -113,12 +107,66 @@ def _vslice(lo: int, hi: int, c: int, off: int) -> slice:
     return slice(c * lo + off, stop if stop >= 0 else None, c)
 
 
+def _flatbase(a, cs, offs):
+    """(flat view, base element index, combined element stride) for a
+    reference whose dimension ``k`` is ``cs[k]*v + offs[k]``."""
+    if not a.flags.c_contiguous:
+        raise InterpError("flat strided view requires a C-contiguous array")
+    isz = a.itemsize
+    base = 0
+    step = 0
+    for c, o, s in zip(cs, offs, a.strides):
+        s //= isz
+        base += o * s
+        step += c * s
+    return a.reshape(-1), base, step
+
+
+def _fslice(flat, base, step, lo, hi):
+    start = base + step * lo
+    stop = base + step * hi
+    if step > 0:
+        return flat[start : stop + 1 : step]
+    stop -= 1
+    return flat[start : (stop if stop >= 0 else None) : step]
+
+
+def _fview(a, lo, hi, cs, offs):
+    """The writable 1-D view selecting the cells of a multi-dimension
+    reference for ``v`` in ``lo..hi`` — an arithmetic progression of
+    flat indices with stride ``sum(cs[k]*strides[k])``.
+
+    A zero combined stride with ``hi > lo`` would mean every iteration
+    writes the same cell — an output dependence the DOALL verdict rules
+    out for in-bounds subscripts — so it is reported, not silently
+    mis-executed.
+    """
+    flat, base, step = _flatbase(a, cs, offs)
+    if step == 0:
+        if lo == hi:
+            return flat[base : base + 1]
+        raise InterpError(
+            "flat view writes one cell from every iteration "
+            "(zero flat stride); subscripts outside declared bounds?"
+        )
+    return _fslice(flat, base, step, lo, hi)
+
+
+def _fread(a, lo, hi, cs, offs):
+    """Read-side counterpart of :func:`_fview`: a zero combined stride
+    is legitimate for reads (the reference is loop-invariant) and
+    collapses to a broadcast scalar."""
+    flat, base, step = _flatbase(a, cs, offs)
+    if step == 0:
+        return float(flat[base])
+    return _fslice(flat, base, step, lo, hi)
+
+
 _EXEC_GLOBALS: dict[str, object] = {
     "_np": np,
     "_round_index": _round_index,
     "_exact_div": _exact_div,
     "_vslice": _vslice,
-    "_wf_dispatch": _wf_dispatch,
     "_fview": _fview,
     "_fread": _fread,
 }
@@ -137,14 +185,13 @@ class _Ctx:
     scope: frozenset[str]
     arrays: dict[str, ArrayDecl]
     plans: dict[int, VecPlan]
-    fronts: dict[int, FrontPlan] = field(default_factory=dict)
     vec: VecPlan | None = None
 
     def bind(self, var: str) -> "_Ctx":
-        return _Ctx(self.scope | {var}, self.arrays, self.plans, self.fronts, self.vec)
+        return _Ctx(self.scope | {var}, self.arrays, self.plans, self.vec)
 
     def vectorizing(self, plan: VecPlan) -> "_Ctx":
-        return _Ctx(self.scope, self.arrays, self.plans, self.fronts, plan)
+        return _Ctx(self.scope, self.arrays, self.plans, plan)
 
 
 class _Emitter:
@@ -247,9 +294,9 @@ def _render_array_ref(ref: ArrayRef, ctx: _Ctx, *, target: bool = False) -> tupl
     """Render a reference; returns ``(code, is_vector)``.
 
     ``target`` marks the LHS of an assignment; it only matters for flat
-    wavefront plans, where the write side renders as a ``_fview`` slice
-    target and the read side as ``_fread`` (whose zero-stride case
-    collapses to a broadcast scalar, legal for reads only).
+    plans, where the write side renders as a ``_fview`` slice target and
+    the read side as ``_fread`` (whose zero-stride case collapses to a
+    broadcast scalar, legal for reads only).
     """
     decl = ctx.arrays.get(ref.array)
     if decl is None:
@@ -260,10 +307,10 @@ def _render_array_ref(ref: ArrayRef, ctx: _Ctx, *, target: bool = False) -> tupl
         )
     vec = ctx.vec
     if vec is not None and vec.flat:
-        # Wavefront front: the plan guaranteed affine subscripts.  A
-        # reference varying with the front variable in several
-        # dimensions has no per-dimension slice form, but its cells are
-        # an arithmetic progression of *flat* indices.
+        # The plan guaranteed affine subscripts.  A reference varying
+        # with the loop variable in several dimensions has no
+        # per-dimension slice form, but its cells are an arithmetic
+        # progression of *flat* indices.
         lins = [as_affine(sub) for sub in ref.subscripts]
         if sum(1 for lin in lins if lin[vec.var] != 0) > 1:
             cs: list[str] = []
@@ -354,38 +401,10 @@ def _emit_guard(g: Guard, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
 def _emit_loop(loop: Loop, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
     lo = _render_bound(loop.lower)
     hi = _render_bound(loop.upper)
-    fplan = ctx.fronts.get(id(loop))
-    if fplan is not None:
-        stats["wavefront"] += 1
-        v = loop.var
-        em.line(f"_l_{v} = {lo}")
-        em.line(f"_h_{v} = {hi}")
-        # The front body as a local function: _wf_dispatch calls it once
-        # per chunk with a sub-range of [_l, _h] and blocks until every
-        # chunk returns (the inter-front barrier).  Parameter names
-        # shadow the bound temporaries so the slice renderer works
-        # unchanged on the chunk's own range.
-        em.line(f"def _wf_body_{v}(_l_{v}, _h_{v}):")
-        with em.indent():
-            if fplan.mode == "slice":
-                assert fplan.plan is not None
-                vctx = ctx.bind(v).vectorizing(fplan.plan)
-                if fplan.plan.needs_iota:
-                    em.line(f"_vv_{v} = _np.arange(_l_{v}, _h_{v} + 1, dtype=float)")
-                st = loop.body[0]
-                assert isinstance(st, Statement)
-                lhs, is_vector = _render_array_ref(st.lhs, vctx, target=True)
-                assert is_vector
-                em.line(f"{lhs} = {_render_value(st.rhs, vctx)}")
-            else:
-                em.line(f"for {v} in range(_l_{v}, _h_{v} + 1):")
-                with em.indent():
-                    _emit_block(loop.body, ctx.bind(v), em, stats)
-        em.line(f"_wf_dispatch(_l_{v}, _h_{v}, _wf_body_{v})")
-        return
     plan = ctx.plans.get(id(loop))
     if plan is not None:
         stats["vectorized"] += 1
+        stats["flat"] += plan.flat
         v = loop.var
         em.line(f"_l_{v} = {lo}")
         em.line(f"_h_{v} = {hi}")
@@ -396,7 +415,7 @@ def _emit_loop(loop: Loop, ctx: _Ctx, em: _Emitter, stats: dict) -> None:
                 em.line(f"_vv_{v} = _np.arange(_l_{v}, _h_{v} + 1, dtype=float)")
             st = loop.body[0]
             assert isinstance(st, Statement)
-            lhs, is_vector = _render_array_ref(st.lhs, vctx)
+            lhs, is_vector = _render_array_ref(st.lhs, vctx, target=True)
             assert is_vector
             em.line(f"{lhs} = {_render_value(st.rhs, vctx)}")
         return
@@ -435,9 +454,9 @@ class LoweredProgram:
     ``vectorized_loops`` counts loops emitted as slice assignments;
     ``fallback_loops`` counts innermost DOALL loops that had to stay
     scalar (non-affine subscript, multi-statement body, scalar reads...);
-    ``wavefront_loops`` counts loops dispatched as wavefront fronts
-    (``parallel=True`` only — zero means source-par degraded to the
-    serial source-vec emission).
+    ``flat_loops`` counts the vectorized loops that read or write
+    through a flat strided view (``parallel=True`` only — zero means
+    the source-par emission is the source-vec one).
     """
 
     program: Program
@@ -446,7 +465,7 @@ class LoweredProgram:
     vectorized_loops: int
     fallback_loops: int
     parallel: bool
-    wavefront_loops: int
+    flat_loops: int
     fn: Callable = field(repr=False)
 
 
@@ -467,17 +486,9 @@ def _check_identifiers(program: Program) -> None:
 
 
 def _collect_plans(
-    program: Program,
-    doall: frozenset[str],
-    stats: dict,
-    exclude: frozenset[int] = frozenset(),
+    program: Program, doall: frozenset[str], stats: dict, *, flat: bool
 ) -> dict[int, VecPlan]:
-    """Map id(loop) -> plan for every vectorizable innermost DOALL loop.
-
-    ``exclude`` holds ids of loops already claimed as wavefront fronts —
-    they are emitted by the front path, so planning (or counting them as
-    scalar fallbacks) here would be wrong.
-    """
+    """Map id(loop) -> plan for every vectorizable innermost DOALL loop."""
     arrays = {d.name: d for d in program.arrays}
     plans: dict[int, VecPlan] = {}
 
@@ -485,8 +496,8 @@ def _collect_plans(
         if isinstance(node, Loop):
             inner = scope | {node.var}
             has_subloop = any(isinstance(c, (Loop, Guard)) for c in node.body)
-            if node.var in doall and not has_subloop and id(node) not in exclude:
-                plan = plan_vector_loop(node, scope, arrays)
+            if node.var in doall and not has_subloop:
+                plan = plan_vector_loop(node, scope, arrays, flat=flat)
                 if plan is not None:
                     plans[id(node)] = plan
                 else:
@@ -512,25 +523,22 @@ def lower_program(
     own dependence analysis — pass ``deps`` to reuse a precomputed
     matrix) are emitted as NumPy slice assignments when legal.
 
-    With ``parallel=True`` (the ``source-par`` backend), the outermost
-    DOALL loop of each subtree is additionally dispatched as wavefront
-    fronts over the worker pool (:mod:`repro.backend.wavefront`); when
-    no wavefront band exists the emission is identical to the serial
-    one — graceful degradation, recorded as ``wavefront_loops == 0``.
+    With ``parallel=True`` (the ``source-par`` backend) the same loops
+    are vectorized and references varying with the loop in several
+    dimensions are also admitted, as flat strided views: after a skew,
+    the innermost loop of a hyperplane front becomes one NumPy
+    assignment.  Where no such reference exists the emission is the
+    ``vectorize=True`` one (``flat_loops == 0``).
     """
     with span("backend.lower", program=program.name, vectorize=vectorize,
               parallel=parallel):
         _check_identifiers(program)
-        stats = {"vectorized": 0, "fallback": 0, "wavefront": 0}
+        stats = {"vectorized": 0, "fallback": 0, "flat": 0}
         plans: dict[int, VecPlan] = {}
-        fronts: dict[int, FrontPlan] = {}
         if vectorize or parallel:
             doall = doall_loop_vars(program, deps)
-            if parallel:
-                fronts = collect_front_plans(program, doall)
-            if vectorize and doall:
-                plans = _collect_plans(program, doall, stats,
-                                       exclude=frozenset(fronts))
+            if doall:
+                plans = _collect_plans(program, doall, stats, flat=parallel)
 
         em = _Emitter()
         em.line("_s = _scalars")
@@ -539,7 +547,7 @@ def lower_program(
         for decl in program.arrays:
             em.line(f"_a_{decl.name} = _arrays[{decl.name!r}]")
         ctx = _Ctx(frozenset(program.params),
-                   {d.name: d for d in program.arrays}, plans, fronts)
+                   {d.name: d for d in program.arrays}, plans)
         _emit_block(program.body, ctx, em, stats)
 
         header = (
@@ -555,7 +563,7 @@ def lower_program(
         counter("backend.vectorized_loops", stats["vectorized"])
         counter("backend.scalar_fallbacks", stats["fallback"])
         if parallel:
-            counter("backend.wavefront_loops", stats["wavefront"])
+            counter("backend.flat_loops", stats["flat"])
         return LoweredProgram(
             program=program,
             source=src,
@@ -563,6 +571,6 @@ def lower_program(
             vectorized_loops=stats["vectorized"],
             fallback_loops=stats["fallback"],
             parallel=parallel,
-            wavefront_loops=stats["wavefront"],
+            flat_loops=stats["flat"],
             fn=g["_kernel"],
         )

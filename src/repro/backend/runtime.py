@@ -17,12 +17,11 @@ Four backends run any IR program against the same
     practice also exact; the oracles still use the equivalence
     tolerance.
 ``source-par``
-    ``source-vec`` plus wavefront execution
-    (:mod:`repro.backend.wavefront`): the outermost DOALL loop of each
-    subtree is dispatched as chunked fronts over a worker pool, with a
-    barrier between fronts and deterministic chunk order — bit-exact
-    for any ``--par-jobs`` value.  Programs with no wavefront band
-    degrade to the serial ``source-vec`` emission.
+    ``source-vec`` whose planner also admits references varying with
+    the loop in several dimensions, as flat strided views — so the
+    innermost loop of a skewed nest's hyperplane front becomes one NumPy
+    assignment.  Serial, like the others; programs without such a
+    reference get exactly the ``source-vec`` emission.
 
 :func:`run` is the one entry point; :func:`bench_backends` times all of
 them on identical inputs and cross-checks their outputs.
@@ -42,7 +41,6 @@ import numpy as np
 
 from repro.backend.lower import LoweredProgram, lower_program
 from repro.backend.names import BACKENDS
-from repro.backend.wavefront import par_jobs as _par_jobs_ctx
 from repro.interp.equivalence import outputs_close
 from repro.interp.executor import ArrayStore, execute
 from repro.ir.ast import Program
@@ -89,16 +87,13 @@ def run(
     backend: str = "source",
     init: Callable | None = None,
     deps=None,
-    par_jobs: int | None = None,
 ) -> ArrayStore:
     """Execute ``program`` with the chosen backend; returns the final store.
 
     ``arrays`` overrides initial contents (copied, never mutated), same
     contract as :func:`repro.interp.execute`.  ``deps`` optionally reuses
     a precomputed dependence matrix for ``source-vec``/``source-par``
-    lowering.  ``par_jobs`` sets the ``source-par`` worker count
-    (default: the ``REPRO_PAR_JOBS`` environment variable, then one per
-    CPU); other backends ignore it.
+    lowering.
     """
     if backend not in BACKENDS:
         raise BackendError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
@@ -106,14 +101,13 @@ def run(
     if backend == "reference":
         store, _ = execute(program, params, arrays, init=init)
         return store
-    parallel = backend == "source-par"
     lowered = lower_cached(
         program,
         vectorize=backend in ("source-vec", "source-par"),
-        parallel=parallel,
+        parallel=backend == "source-par",
         deps=deps,
     )
-    return run_lowered(lowered, params, arrays, init=init, par_jobs=par_jobs)
+    return run_lowered(lowered, params, arrays, init=init)
 
 
 def run_lowered(
@@ -124,7 +118,12 @@ def run_lowered(
     init: Callable | None = None,
     par_jobs: int | None = None,
 ) -> ArrayStore:
-    """Execute an already-lowered program against fresh inputs."""
+    """Execute an already-lowered program against fresh inputs.
+
+    ``par_jobs`` is accepted and ignored: no backend runs threads.  It
+    remains only for callers written when ``source-par`` had a worker
+    pool.
+    """
     params = dict(params or {})
     store = ArrayStore(lowered.program, params, init)
     if arrays:
@@ -139,11 +138,7 @@ def run_lowered(
     with span("backend.execute", program=lowered.program.name,
               vectorize=lowered.vectorize, parallel=lowered.parallel):
         try:
-            if lowered.parallel:
-                with _par_jobs_ctx(par_jobs):
-                    lowered.fn(store.arrays, store.params, store.scalars)
-            else:
-                lowered.fn(store.arrays, store.params, store.scalars)
+            lowered.fn(store.arrays, store.params, store.scalars)
         except ZeroDivisionError:
             raise InterpError("division by zero during execution") from None
         except KeyError as exc:
@@ -166,7 +161,6 @@ def time_backend(
     backend: str = "source",
     repeat: int = MIN_TIMING_REPS,
     deps=None,
-    par_jobs: int | None = None,
 ) -> float:
     """Median wall clock of ``max(MIN_TIMING_REPS, repeat)`` runs, after
     one untimed warm-up (which also pays any lowering cost).
@@ -177,13 +171,11 @@ def time_backend(
     best-of, so one noisy repetition cannot reorder a search.
     """
     reps = max(MIN_TIMING_REPS, int(repeat))
-    run(program, params, arrays=arrays, backend=backend, deps=deps,
-        par_jobs=par_jobs)  # warm-up
+    run(program, params, arrays=arrays, backend=backend, deps=deps)  # warm-up
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        run(program, params, arrays=arrays, backend=backend, deps=deps,
-            par_jobs=par_jobs)
+        run(program, params, arrays=arrays, backend=backend, deps=deps)
         times.append(time.perf_counter() - t0)
     counter(f"backend.timings.{backend}")
     return statistics.median(times)
@@ -209,7 +201,6 @@ def bench_backends(
     backends: tuple[str, ...] = BACKENDS,
     repeat: int = 3,
     rtol: float = 1e-9,
-    par_jobs: int | None = None,
 ) -> list[BackendTiming]:
     """Time each backend on identical inputs and cross-check outputs.
 
@@ -230,14 +221,12 @@ def bench_backends(
     with span("backend.bench", program=program.name, n=len(ordered)):
         for b in ordered:
             try:
-                run(program, params, arrays=base, backend=b,
-                    par_jobs=par_jobs)  # warm-up + lowering
+                run(program, params, arrays=base, backend=b)  # warm-up + lowering
                 best = math.inf
                 out = None
                 for _ in range(max(1, repeat)):
                     t0 = time.perf_counter()
-                    store = run(program, params, arrays=base, backend=b,
-                                par_jobs=par_jobs)
+                    store = run(program, params, arrays=base, backend=b)
                     best = min(best, time.perf_counter() - t0)
                     out = store.snapshot()
             except ReproError as exc:

@@ -15,10 +15,11 @@ questions:
 2. Can *this* innermost DOALL loop be rewritten as one NumPy slice
    assignment?  :func:`plan_vector_loop` performs the purely syntactic
    legality checks (single statement, affine subscripts, at most one
-   dimension per array reference varying with the loop, no scalar
-   variables, only elementwise intrinsics).  The semantic half — that a
-   slice assignment, which reads *all* of its inputs before writing, is
-   observationally equal to the sequential loop — is exactly the DOALL
+   dimension per array reference varying with the loop — any number
+   with ``flat=True`` — no scalar variables, only elementwise
+   intrinsics).  The semantic half — that a slice assignment, which
+   reads *all* of its inputs before writing, is observationally equal
+   to the sequential loop — is exactly the DOALL
    property: by Theorem 2's characterization, no iteration of the loop
    reads or overwrites a cell another iteration writes, so read-all-
    then-write-all commutes with the original iteration order.  See
@@ -126,10 +127,10 @@ class VecPlan:
     position of the RHS (not just inside subscripts), in which case the
     emitted code materializes ``arange(lo, hi+1)`` for it.
 
-    ``flat`` marks a wavefront front plan
-    (:func:`repro.backend.wavefront.plan_front_loop`): references may
-    vary with the loop variable in *several* dimensions and render as
-    flat strided views instead of per-dimension slices.
+    ``flat`` records that some reference varies with the loop variable
+    in *several* dimensions (only ever under ``plan_vector_loop(...,
+    flat=True)``); such references render as flat strided views instead
+    of per-dimension slices.
     """
 
     var: str
@@ -141,6 +142,8 @@ def plan_vector_loop(
     loop: Loop,
     scope: frozenset[str] | set[str],
     arrays: dict[str, ArrayDecl],
+    *,
+    flat: bool = False,
 ) -> VecPlan | None:
     """Decide whether ``loop`` (already known to be DOALL) can be emitted
     as a NumPy slice assignment.  ``scope`` is the set of integer names
@@ -160,6 +163,15 @@ def plan_vector_loop(
       scalars);
     * every intrinsic call has an elementwise equivalent in
       :data:`VEC_FUNCTIONS`.
+
+    ``flat=True`` (the ``source-par`` backend) relaxes the third rule:
+    a reference may vary in any number of dimensions — its cells are an
+    arithmetic progression of indices into the flattened C-ordered
+    array, which one 1-D strided view selects — and the LHS need only
+    vary in at least one (distinct iterations then write distinct
+    cells, by the DOALL verdict plus the bijectivity of flattening).
+    This is what maps the diagonal references skewing produces, e.g.
+    ``A(I-J, J)`` inside a hyperplane front.
     """
     v = loop.var
 
@@ -179,7 +191,9 @@ def plan_vector_loop(
         return None
     allowed = frozenset(scope) | {v}
 
-    def ref_block_reason(ref: ArrayRef, *, is_lhs: bool) -> str | None:
+    def varying_dims(ref: ArrayRef, *, is_lhs: bool) -> int | str:
+        """How many dimensions of ``ref`` vary with ``v``, or why the
+        reference blocks the rewrite."""
         decl = arrays.get(ref.array)
         if decl is None or len(ref.subscripts) != decl.rank:
             return "undeclared array or rank mismatch"
@@ -193,27 +207,25 @@ def plan_vector_loop(
                 return f"subscript {sub} uses variables bound inside the loop"
             if lin[v] != 0:
                 vdims += 1
-        if is_lhs and vdims != 1:
+        if is_lhs and (vdims == 0 or (vdims > 1 and not flat)):
             return (
                 f"LHS varies with {v} in {vdims} dimensions; "
                 "each iteration must write one distinct cell"
             )
-        if not is_lhs and vdims > 1:
+        if vdims > 1 and not flat:
             return (
                 f"reference varies with {v} in {vdims} dimensions; "
                 "no single strided slice maps it"
             )
-        return None
+        return vdims
 
-    why = ref_block_reason(st.lhs, is_lhs=True)
-    if why is not None:
-        declined(why, access=str(st.lhs))
-        return None
-    for ref in st.rhs.array_refs():
-        why = ref_block_reason(ref, is_lhs=False)
-        if why is not None:
-            declined(why, access=str(ref))
+    widest = 0
+    for i, ref in enumerate((st.lhs, *st.rhs.array_refs())):
+        vdims = varying_dims(ref, is_lhs=i == 0)
+        if isinstance(vdims, str):
+            declined(vdims, access=str(ref))
             return None
+        widest = max(widest, vdims)
     vals = value_vars(st.rhs)
     if not (vals <= allowed):
         declined(
@@ -224,10 +236,16 @@ def plan_vector_loop(
         if fn not in VEC_FUNCTIONS:
             declined(f"intrinsic {fn}() has no elementwise equivalent", call=fn)
             return None
-    event("vectorize", "accept",
-          "innermost DOALL loop rewritten as one NumPy slice assignment",
-          loop=v, target=str(st.lhs))
-    return VecPlan(v, needs_iota=(v in vals))
+    if widest > 1:
+        event("vectorize", "accept",
+              "innermost DOALL loop rewritten as one NumPy assignment "
+              "through flat strided views",
+              loop=v, target=str(st.lhs), mode="flat")
+    else:
+        event("vectorize", "accept",
+              "innermost DOALL loop rewritten as one NumPy slice assignment",
+              loop=v, target=str(st.lhs))
+    return VecPlan(v, needs_iota=(v in vals), flat=widest > 1)
 
 
 def value_vars(e: Expr) -> frozenset[str]:

@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
         args.param = [f"{k}={v}" for k, v in params.items()]
     result = _run_op(
         args, "run", program, params=_params(args.param), backend=args.backend,
-        par_jobs=args.par_jobs, trace=args.trace,
+        trace=args.trace,
     )
     result.tuned_banner = banner
     print(result.render())
@@ -194,8 +194,7 @@ def cmd_bench(args) -> int:
     program = _load_flexible(args.file)
     params = _params(args.param) or {p: 40 for p in program.params}
     backends = tuple(args.backend) if args.backend else BACKENDS
-    rows = bench_backends(program, params, backends=backends, repeat=args.repeat,
-                          par_jobs=getattr(args, "par_jobs", None))
+    rows = bench_backends(program, params, backends=backends, repeat=args.repeat)
     print(f"program {program.name}  params {params}  (best of {args.repeat})")
     print(f"{'backend':<12} {'seconds':>12} {'speedup':>9}  ok")
     failed = False
@@ -338,10 +337,6 @@ def cmd_fuzz(args) -> int:
     shrunk to minimal repros and serialized into the corpus."""
     from repro.fuzz import fuzz_run, known_illegal_case, known_unsound_case
 
-    if getattr(args, "par_jobs", None) is not None:
-        # Exported rather than passed down so the fuzz worker *processes*
-        # inherit the source-par pool size too.
-        os.environ["REPRO_PAR_JOBS"] = str(args.par_jobs)
     inject = {}
     if args.inject_illegal:
         inject[0] = known_illegal_case()
@@ -496,11 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend (see docs/BACKENDS.md)",
     )
     p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for the source-par backend (default: "
-        "$REPRO_PAR_JOBS, then one per CPU; see docs/PARALLEL.md)",
-    )
-    p.add_argument(
         "--tuned",
         action="store_true",
         help="apply the cached best schedule from `repro tune` "
@@ -525,11 +515,6 @@ def main(argv: list[str] | None = None) -> int:
         help="backend to time (repeatable; default: all)",
     )
     p.add_argument("--repeat", type=int, default=3, help="best-of-N timing")
-    p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for the source-par backend (default: "
-        "$REPRO_PAR_JOBS, then one per CPU; see docs/PARALLEL.md)",
-    )
     p.add_argument("--json", metavar="PATH", help="also write the table as JSON")
     p.set_defaults(fn=cmd_bench)
 
@@ -669,11 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also cross-check every case's source program against a "
         "running `repro serve` daemon (warm-path oracle; see "
         "docs/SERVICE.md)",
-    )
-    p.add_argument(
-        "--par-jobs", type=int, default=None, metavar="N",
-        help="worker count for source-par cross-checks (exported as "
-        "REPRO_PAR_JOBS so fuzz worker processes inherit it)",
     )
     p.set_defaults(fn=cmd_fuzz)
 

@@ -10,8 +10,9 @@ the autotuner's cost ranking compared to the measured ranking
 
 All phases except ``tune`` re-run the relevant pipeline stage under the
 CLI's observability session and render the typed decision events it
-emits (:mod:`repro.obs.events`) — ``wavefront`` explains, loop by loop,
-why the ``source-par`` backend did or did not find a parallel band; the
+emits (:mod:`repro.obs.events`) — ``vectorize`` explains, loop by loop,
+why each loop did or did not become a NumPy assignment (flat strided
+views included, as the ``source-par`` backend lowers it); the
 ``tune`` phase reads the persisted cache entry a prior ``repro tune``
 wrote, so explaining a tuning run never re-searches or re-measures.
 """
@@ -134,39 +135,16 @@ def _explain_vectorize(program) -> tuple[str, list]:
     from repro.backend.lower import lower_program
 
     try:
-        lowered = lower_program(program, vectorize=True)
+        lowered = lower_program(program, vectorize=True, parallel=True)
         head = (
-            f"verdict: {lowered.vectorized_loops} loop(s) vectorized, "
+            f"verdict: {lowered.vectorized_loops} loop(s) vectorized "
+            f"({lowered.flat_loops} through flat strided views), "
             f"{lowered.fallback_loops} innermost DOALL loop(s) stayed scalar"
         )
     except ReproError as exc:
         head = f"verdict: program cannot be lowered — {exc}"
     events = _phase_events("vectorize")
     return head + "\n" + obs.render_events(events, kind="vectorize"), events
-
-
-def _explain_wavefront(program) -> tuple[str, list]:
-    from repro.backend.lower import lower_program
-
-    try:
-        lowered = lower_program(program, vectorize=True, parallel=True)
-        if lowered.wavefront_loops:
-            head = (
-                f"verdict: {lowered.wavefront_loops} wavefront loop(s) "
-                f"dispatched over the worker pool "
-                f"({lowered.vectorized_loops} further loop(s) vectorized "
-                f"inside or outside the band)"
-            )
-        else:
-            head = (
-                "verdict: no wavefront band — source-par degrades to the "
-                "serial source-vec emission (skew the nest to expose one; "
-                "see docs/PARALLEL.md)"
-            )
-    except ReproError as exc:
-        head = f"verdict: program cannot be lowered — {exc}"
-    events = _phase_events("wavefront")
-    return head + "\n" + obs.render_events(events, kind="wavefront"), events
 
 
 def render_tune_ranking(entry: dict) -> str:
@@ -263,7 +241,6 @@ def explain_program(
             "symbolic": lambda: _explain_symbolic(program, spec),
             "complete": lambda: _explain_complete(program, lead),
             "vectorize": lambda: _explain_vectorize(program),
-            "wavefront": lambda: _explain_wavefront(program),
         }
         sections: list[tuple[str, str]] = []
         payload: dict = {"program": program.name, "phases": {}}

@@ -57,8 +57,8 @@ def seidel_2d() -> Program:
     """In-place 2-D Gauss-Seidel sweep: both loops carry dependences,
     so neither vectorizes as written — but ``skew(I,J,1)`` makes ``J``
     DOALL, exposing the diagonal wavefronts the ``source-par`` backend
-    executes in parallel (each front's accesses are array diagonals,
-    which only the flat-view renderer can express)."""
+    executes one NumPy assignment per front (each front's accesses are
+    array diagonals, which only the flat-view renderer can express)."""
     return parse_program(
         """
         param N

@@ -22,7 +22,7 @@ streamed to every sink as they occur, children-before-parents ordering
 being irrelevant here: ``seq`` numbers give the exact emission order.
 
 Event kinds are the pipeline phase that made the decision (``legality``,
-``complete``, ``vectorize``, ``wavefront``, ``tune``, ``fuzz``); verdicts are drawn
+``complete``, ``vectorize``, ``tune``, ``fuzz``); verdicts are drawn
 from a small closed set so renderers and tests can switch on them:
 
 * ``accept`` — the candidate/loop/case passed this decision point;
@@ -49,7 +49,7 @@ class Event:
     """One recorded decision: what was decided, and on what evidence."""
 
     seq: int
-    kind: str            # pipeline phase: legality | complete | vectorize | wavefront | tune | fuzz
+    kind: str            # pipeline phase: legality | complete | vectorize | tune | fuzz
     verdict: str         # accept | reject | measure | info
     reason: str          # the evidence, human-readable
     attrs: dict[str, Any] = field(default_factory=dict)

@@ -77,7 +77,6 @@ class RunRequest:
     program: str
     params: dict[str, int] = field(default_factory=dict)
     backend: str = "reference"
-    par_jobs: int | None = None
     trace: bool = False
 
 

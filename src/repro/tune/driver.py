@@ -101,9 +101,9 @@ BLOCKED_SLOTS = 2
 #: Extra beam/measurement slots reserved for the best *wavefront* (skew
 #: that exposes a DOALL loop) candidates when tuning for the
 #: ``source-par`` backend.  The static cost model knows nothing about
-#: parallel execution, so skew-then-parallelize schedules — whose whole
-#: payoff is the worker pool and the flat-slice fronts — would otherwise
-#: never survive ranking to be measured.
+#: flat-view vectorization, so skew-then-parallelize schedules — whose
+#: whole payoff is the flat-slice fronts — would otherwise never survive
+#: ranking to be measured.
 WAVEFRONT_SLOTS = 2
 
 #: Extra beam/measurement slots reserved for the best *rescued*

@@ -152,6 +152,22 @@ def test_ill_typed_values_are_rejected_by_name(service, op, args, field, submitt
     assert service.jobs.snapshot()["jobs"] == 0
 
 
+@pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
+def test_run_request_with_par_jobs_is_refused(service, submitted):
+    """``source-par`` has no worker pool, so ``run`` has no worker-count
+    field: a client still sending one is told which argument is unknown."""
+    args = {"program": SRC, "backend": "source-par", "par_jobs": 2}
+    wire = {"protocol": PROTOCOL_VERSION, "op": "run", "args": args}
+    if submitted:
+        wire["op"], wire["args"] = "submit", {"submit_op": "run", "args": args}
+    resp = service.handle(wire)
+    assert not resp.ok and resp.error_kind == "ServiceError"
+    assert "par_jobs" in resp.error and "unknown argument" in resp.error
+    with pytest.raises(ServiceError, match="par_jobs"):
+        resp.unwrap()
+    assert service.jobs.snapshot()["jobs"] == 0
+
+
 def test_well_typed_values_still_decode():
     req = decode_request({
         "protocol": PROTOCOL_VERSION, "op": "tune",

@@ -1,7 +1,9 @@
 """Doc truth: every repository path the documentation cites exists, and
-no document cites the benchmark result machinery that was deleted in
-favour of the ledger (``compare.py``, ``emit.py``, ``BENCH_result.json``,
-the opt-in benchmark environment switches)."""
+no document cites deleted machinery: the benchmark result files
+superseded by the ledger (``compare.py``, ``emit.py``,
+``BENCH_result.json``, the opt-in benchmark environment switches) or the
+``source-par`` worker pool (its module, dispatcher, flag, environment
+variables and explain phase)."""
 
 from __future__ import annotations
 
@@ -24,8 +26,12 @@ PATH_TOKEN = re.compile(
 )
 #: Written when a run happens, git-ignored: never in a fresh checkout.
 GENERATED = ("ledger/out",)
-# (the last name is split so that grepping the tree for it stays empty)
-DELETED = ("compare.py", "emit.py", "BENCH_result.json", "REPRO_" "BENCH_")
+# (names are split so that grepping the tree for them stays empty)
+DELETED = (
+    "compare.py", "emit.py", "BENCH_result.json", "REPRO_" "BENCH_",
+    "REPRO_" "PAR_JOBS", "REPRO_" "PAR_MIN_FRONT", "--par" "-jobs", "_wf" "_dispatch",
+    "backend/wavefront.py", "--phase wavefront",
+)
 
 
 def cited_paths(text: str):
