@@ -16,7 +16,6 @@ the argument for it.
 from repro import obs
 from repro.backend import bench_backends, lower_program, run
 from repro.codegen import generate_code
-from repro.codegen.simplify import simplify_program
 from repro.kernels import seidel_2d
 from repro.transform.spec import parse_schedule
 
@@ -29,9 +28,9 @@ def _skewed_seidel():
     """seidel_2d after skew(I,J,1): outer loop walks anti-diagonal
     fronts, inner loop is DOALL at every fixed front."""
     sched = parse_schedule(seidel_2d(), "skew(I, J, 1)")
-    generated = generate_code(sched.program, sched.matrix, sched.deps)
-    skewed = simplify_program(generated.program)
-    return skewed.with_body(skewed.body, name="seidel_2d_skewed")
+    return generate_code(
+        sched.program, sched.matrix, sched.deps, name="seidel_2d_skewed"
+    ).program
 
 
 def _rows_by_backend(program, params, repeat=2):

@@ -4,7 +4,8 @@ right-looking Cholesky with the completion procedure.
 We give the completion a single row — "the new outermost loop scans the
 old L coordinate" — and it finds the child reordering and remaining
 rows automatically; code generation then emits left-looking Cholesky,
-which we validate against numpy.
+already simplified (no guards, no constant ``min``/``max``: the paper's
+§6 listing), which we validate against numpy.
 
 Run:  python examples/left_looking_cholesky.py
 """

@@ -51,13 +51,13 @@ def main() -> None:
         print(f"per-statement transformation M_{label}: {ps.linear.tolist()}")
 
     generated = generate_code(program, t.matrix, deps)
-    print("\ngenerated code (paper's pre-simplification form):")
+    print("\ngenerated code (paper's §5.4 form; simplified, valid for every N):")
     print(program_to_str(generated.program, header=False))
 
     assume = System([ge(var("N"), 1)])
     simplified = simplify_program(generated.program, assume)
     final = simplify_program(peel_iteration(simplified, (0,), "upper"), assume)
-    print("\nafter simplification + peeling (paper's final §5.5 code):")
+    print("\nunder N >= 1, after peeling (paper's final §5.5 code):")
     print(program_to_str(final, header=False))
 
     # prove both forms compute the same values

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.codegen.generate import GeneratedProgram, generate_code
-from repro.codegen.simplify import simplify_program
 from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import Layout
@@ -37,7 +36,6 @@ from repro.interp.equivalence import check_equivalence
 from repro.interp.executor import ArrayStore, execute
 from repro.ir.ast import Program
 from repro.obs import counter, span, timed
-from repro.polyhedra import System, ge, var
 
 __all__ = ["SearchResult", "search_loop_orders"]
 
@@ -140,11 +138,9 @@ def search_loop_orders(
                 generated.program, params, arrays=base,
                 backend=backend, repeat=repeat,
             )
-        assume = System([ge(var(p), 1) for p in program.params])
-        pretty = simplify_program(generated.program, assume)
         counter("search.variants_ranked")
         return SearchResult(
-            coord.var, pretty, generated, stats.accesses, stats.misses, seconds
+            coord.var, generated.program, generated, stats.accesses, stats.misses, seconds
         )
 
     results = [r for r in map(evaluate, candidates) if r is not None]

@@ -127,9 +127,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    result = _run_op(
-        args, "transform", _load(args.file), spec=args.spec, simplify=args.simplify
-    )
+    result = _run_op(args, "transform", _load(args.file), spec=args.spec)
     if args.output:
         with open(args.output, "w") as f:
             f.write(result.render() + "\n")
@@ -465,7 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("file")
     p.add_argument("spec")
-    p.add_argument("--simplify", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_transform)
 

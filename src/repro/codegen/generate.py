@@ -13,7 +13,10 @@ The pipeline:
    what produces the paper's ``if (I == 0) then`` around statement S1
    in the §5.4 example),
 6. subscript rewriting through the inverted non-singular per-statement
-   matrix ``N_S`` (Def. 8).
+   matrix ``N_S`` (Def. 8),
+7. the §5.5 cleanup (:func:`~repro.codegen.simplify.simplify_program`)
+   with no parameter assumption, so the output holds for every
+   parameter value.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.codegen.augment import augment_rows, project_dep
 from repro.codegen.per_statement import PerStatement, per_statement_transformation
+from repro.codegen.simplify import simplify_program
 from repro.dependence.analyze import analyze_dependences, statement_domain
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import Layout
@@ -113,6 +117,14 @@ def generate_code(
     general semantically wrong; the differential fuzzer uses this to
     confirm that the equivalence oracles catch what the legality test
     rejects (the second side of the Theorem-2 contract).
+
+    The last pass is the §5.5 cleanup, always: it prunes dominated bound
+    terms and drops guards the enclosing loops already imply.  That is
+    not cosmetic — an un-pruned guard blocks the vectorizer, so raw
+    output would penalize every transformed schedule against the
+    guard-free source.  It assumes nothing about the parameters, so the
+    code is valid for every value, ``N = 0`` included, and the CLI,
+    daemon, tuner and fuzzer all emit and check this one program.
     """
     layout = Layout(program)
     if deps is None:
@@ -331,9 +343,11 @@ def generate_code(
 
     with span("codegen.emit"):
         new_body = tuple(emit(child, (j,), 0) for j, child in enumerate(skeleton.body))
-    out = Program(
+    raw = Program(
         new_body, program.params, program.arrays, name or (program.name + "_gen")
     )
+    with span("codegen.simplify"):
+        out = raw.with_body(simplify_program(raw).body)
     return GeneratedProgram(out, report, plans, all_exact)
 
 

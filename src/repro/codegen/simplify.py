@@ -171,7 +171,8 @@ def _prune_bound(bound, context: System):
 def simplify_program(program: Program, assume: System | None = None) -> Program:
     """Apply all cleanup passes; ``assume`` adds parameter facts such as
     ``N >= 1`` that license pruning (the paper's examples assume them
-    silently)."""
+    silently).  ``generate_code`` ends with this pass and no assumption;
+    calling it again, with none, leaves that output unchanged."""
     assume = assume or System()
 
     def walk(node: Node, loops: list[Loop]) -> Node | None:

@@ -148,15 +148,15 @@ def analyze_dependences(
     program: Program,
     *,
     layout: Layout | None = None,
-    include_unknown: bool = True,
     param_assumptions: System | None = None,
     jobs: int | None = None,
 ) -> DependenceMatrix:
     """Compute the dependence matrix of a program.
 
-    ``include_unknown`` controls whether cases the feasibility test
-    cannot decide are (soundly) included.  ``param_assumptions`` may add
-    constraints on symbolic parameters (e.g. ``N >= 2``).
+    A case the feasibility test cannot decide (``UNKNOWN``) counts as a
+    dependence, its distance ranges widened soundly.
+    ``param_assumptions`` may add constraints on symbolic parameters
+    (e.g. ``N >= 2``).
 
     ``jobs`` fans the statement-pair × depth case matrix out across a
     process pool (``0`` = one worker per CPU); the merge preserves pair
@@ -165,30 +165,30 @@ def analyze_dependences(
 
     The result is memoized in the query engine
     (:mod:`repro.polyhedra.engine`) per distinct program *structure* —
-    body, params, arrays; not the name — together with
-    ``include_unknown`` and the assumptions.  ``jobs`` does not change
-    the result and a layout is determined by the program (up to its
-    ``optimize_single_edges`` switch, which is keyed).  Every call
-    returns a fresh :class:`DependenceMatrix` the caller may extend; the
-    immutable vectors are shared.  The engine's knobs (``cache_clear``,
-    ``cache_disabled``, ``REPRO_FM_CACHE=0``) force a real analysis.
+    body, params, arrays; not the name — together with the assumptions.
+    ``jobs`` does not change the result and a layout is determined by
+    the program (up to its ``optimize_single_edges`` switch, which is
+    keyed).  Every call returns a fresh :class:`DependenceMatrix` the
+    caller may extend; the immutable vectors are shared.  The engine's
+    knobs (``cache_clear``, ``cache_disabled``, ``REPRO_FM_CACHE=0``)
+    force a real analysis.
     """
     layout = layout or Layout(program)
     assume = param_assumptions or System()
     with span("dependence.analyze", program=program.name) as sp:
         eng = _engine.active()
         if eng is None:
-            return _analyze(program, layout, assume, include_unknown, jobs)
+            return _analyze(program, layout, assume, jobs)
         key = (
             program.body, program.params, program.arrays,
-            layout.optimize_single_edges, include_unknown, assume.canonical_key(),
+            layout.optimize_single_edges, assume.canonical_key(),
         )
         deps = eng.get_analysis(key)
         hit = deps is not _engine.MISS
         if hit:
             matrix = DependenceMatrix(layout, list(deps))
         else:
-            matrix = _analyze(program, layout, assume, include_unknown, jobs)
+            matrix = _analyze(program, layout, assume, jobs)
             eng.put_analysis(key, tuple(matrix.deps))
         counter("dependence.memo_hits" if hit else "dependence.memo_misses")
         if sp is not None:
@@ -200,7 +200,6 @@ def _analyze(
     program: Program,
     layout: Layout,
     base_assume: System,
-    include_unknown: bool,
     jobs: int | None,
 ) -> DependenceMatrix:
     """The real §3 analysis behind :func:`analyze_dependences`' memo."""
@@ -211,7 +210,7 @@ def _analyze(
     if njobs > 1 and len(pairs) >= _MIN_PAIRS_FOR_POOL:
         per_pair: dict[int, list[DepVector]] = {}
         payloads = [
-            (program, base_assume, include_unknown, indices)
+            (program, base_assume, indices)
             for indices in chunk_round_robin(len(pairs), njobs)
         ]
         for results, metrics in map_in_processes(
@@ -228,7 +227,7 @@ def _analyze(
     sides = _statement_sides(program)
     for src_acc, dst_acc, kind in pairs:
         for dep in _pair_vectors(
-            program, layout, sides, src_acc, dst_acc, kind, base_assume, include_unknown
+            program, layout, sides, src_acc, dst_acc, kind, base_assume
         ):
             matrix.add(dep)
     return matrix
@@ -269,7 +268,7 @@ def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dic
     pair list and statement-side table, evaluates its chunk, and returns
     the dependence vectors together with its observability-counter delta.
     """
-    program, base_assume, include_unknown, indices = payload
+    program, base_assume, indices = payload
     with capture_counters() as cap:
         layout = Layout(program)
         sides = _statement_sides(program)
@@ -281,8 +280,7 @@ def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dic
                 (
                     i,
                     _pair_vectors(
-                        program, layout, sides, src_acc, dst_acc, kind, base_assume,
-                        include_unknown,
+                        program, layout, sides, src_acc, dst_acc, kind, base_assume
                     ),
                 )
             )
@@ -297,7 +295,6 @@ def _pair_vectors(
     dst_acc: AccessInfo,
     kind: str,
     base_assume: System,
-    include_unknown: bool,
 ) -> list[DepVector]:
     """All dependence vectors of one conflicting access pair: build the
     §3 affine system per precedence case, decide feasibility, summarize."""
@@ -334,10 +331,6 @@ def _pair_vectors(
             continue
         if feas is Feasibility.UNKNOWN:
             counter("dependence.cases_unknown")
-            if not include_unknown:
-                continue
-            if system.find_point(clip=16) is None and _probably_empty(system):
-                continue
         dep = _summarize(
             layout, s_label, d_label, s_rename, d_rename, system, kind, level_var, src_acc.array
         )
@@ -393,9 +386,3 @@ def _summarize(
             lo, hi = None, None
         entries.append(DepEntry(NEG_INF if lo is None else lo, POS_INF if hi is None else hi))
     return DepVector(s_label, d_label, tuple(entries), kind, level, array)
-
-
-def _probably_empty(system: System) -> bool:
-    """Last-resort emptiness heuristic for UNKNOWN systems: sample a few
-    larger clip boxes.  Returning False keeps the dependence (sound)."""
-    return system.find_point(clip=48) is None

@@ -52,7 +52,11 @@ class CheckRequest:
 
 @dataclass(frozen=True)
 class TransformRequest:
-    """Code generation for a legal spec (``repro transform``)."""
+    """Code generation for a legal spec (``repro transform``).
+
+    ``simplify`` is accepted and ignored: the output is always
+    simplified.  The field stays so that clients which still send it,
+    the frozen benchmark ledger among them, keep working."""
 
     op: ClassVar[str] = "transform"
     program: str

@@ -40,7 +40,6 @@ from repro.analysis.locality import locality_score, reuse_distances
 from repro.analysis.parallel import parallel_loops
 from repro.backend.lower import lower_program
 from repro.codegen.generate import generate_code
-from repro.codegen.simplify import simplify_program
 from repro.interp.executor import execute
 from repro.ir.ast import Guard, Loop, Node, Program, Statement
 from repro.ir.expr import ArrayRef
@@ -55,23 +54,18 @@ __all__ = [
 
 
 def realize(candidate: Candidate, *, require_legal: bool = True) -> Program:
-    """Generate + simplify the candidate's transformed program.
+    """The candidate's generated (and so simplified) program.
 
-    Simplification (§5.5 standard optimizations) is not cosmetic here:
-    codegen emits residual guards that are often implied by the
-    enclosing loop bounds, and an un-pruned guard blocks the vectorizer.
-    Scoring or measuring the raw codegen output would systematically
-    penalize *every* transformed schedule against the guard-free
-    original program.  ``generate_code`` re-asserts Theorem-2 legality,
-    so this never executes an unchecked schedule —
-    ``require_legal=False`` is reserved for candidates the fractal
-    symbolic oracle has certified instead (docs/SYMBOLIC.md).
+    ``generate_code`` re-asserts Theorem-2 legality, so this never
+    executes an unchecked schedule — ``require_legal=False`` is reserved
+    for candidates the fractal symbolic oracle has certified instead
+    (docs/SYMBOLIC.md).
     """
     ctx = candidate.context
-    generated = generate_code(
+    return generate_code(
         ctx.program, candidate.matrix, ctx.deps, require_legal=require_legal
-    )
-    return simplify_program(generated.program)
+    ).program
+
 
 #: Default per-parameter size for the model execution; large enough for
 #: the reuse profile to separate loop orders, small enough to score

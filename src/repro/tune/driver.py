@@ -40,7 +40,6 @@ from typing import Mapping, Sequence
 
 from repro.backend.runtime import MIN_TIMING_REPS, run as backend_run, time_backend
 from repro.codegen.generate import generate_code
-from repro.codegen.simplify import simplify_program
 from repro.dependence.analyze import analyze_dependences
 from repro.interp.equivalence import outputs_close
 from repro.interp.executor import ArrayStore, execute
@@ -771,8 +770,7 @@ def apply_entry(entry: dict):
         # entry is rejected — never trust a serialized "symbolic" label
         from repro.symbolic import prove_equivalent
 
-        generated = generate_code(prog, matrix, deps, require_legal=False)
-        tuned = simplify_program(generated.program)
+        tuned = generate_code(prog, matrix, deps, require_legal=False).program
         outcome = prove_equivalent(
             prog, tuned, spec=winner.get("description", "")
         )
@@ -782,6 +780,5 @@ def apply_entry(entry: dict):
                 f"{outcome.verdict}: {outcome.reason}"
             )
     else:
-        generated = generate_code(prog, matrix, deps)
-        tuned = simplify_program(generated.program)
+        tuned = generate_code(prog, matrix, deps).program
     return tuned.with_body(tuned.body, name=(entry.get("program", "program") + "_tuned"))

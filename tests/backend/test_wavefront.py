@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.backend import lower_program, run
 from repro.codegen import generate_code
-from repro.codegen.simplify import simplify_program
 from repro.dependence import analyze_dependences
 from repro.interp import ArrayStore, execute
 from repro.interp.equivalence import outputs_close
@@ -29,8 +28,7 @@ from repro.transform.spec import parse_schedule
 def _scheduled(program, spec):
     """Apply a transformation spec and return the rewritten program."""
     sched = parse_schedule(program, spec)
-    generated = generate_code(sched.program, sched.matrix, sched.deps)
-    return simplify_program(generated.program)
+    return generate_code(sched.program, sched.matrix, sched.deps).program
 
 
 def _assert_par_exact(p, params):

@@ -176,14 +176,6 @@ class TestEngineKnobs:
 
 
 class TestKey:
-    def test_include_unknown_separates_entries(self, counters):
-        program = simplified_cholesky()
-        analyze_dependences(program)
-        analyze_dependences(program, include_unknown=False)
-        assert _lookups(counters) == (0, 2)
-        analyze_dependences(program, include_unknown=False)
-        assert _lookups(counters) == (1, 2)
-
     def test_param_assumptions_separate_entries(self, counters):
         program = simplified_cholesky()
         plain = analyze_dependences(program)

@@ -1,5 +1,7 @@
 """CLI tests (python -m repro)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_spec
@@ -22,6 +24,27 @@ def loopfile(tmp_path):
     f = tmp_path / "prog.loop"
     f.write_text(SRC)
     return str(f)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        # FM leaves the carried cases undecided; they still count
+        (["check", str(GOLDEN / "far.loop"), "reverse(I)"], 1,
+         "cli_check_far_reverse.txt"),
+        # the paper's §6 left-looking Cholesky, as the default output prints it
+        (["complete", str(EXAMPLES / "cholesky.loop"), "--lead", "L"], 0,
+         "cli_complete_cholesky_L.txt"),
+    ],
+    ids=["check-far", "complete-cholesky-L"],
+)
+def test_cli_golden(argv, code, golden, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 class TestParseSpec:
@@ -92,7 +115,7 @@ class TestCommands:
         assert "ILLEGAL" in capsys.readouterr().out
 
     def test_transform(self, loopfile, capsys):
-        assert main(["transform", loopfile, "reverse(J)", "--simplify"]) == 0
+        assert main(["transform", loopfile, "reverse(J)"]) == 0
         out = capsys.readouterr().out
         assert "do J = -N" in out
 

@@ -60,12 +60,19 @@ class TestByteIdentity:
             assert remote.exit_code == local.exit_code
 
     def test_transform(self, daemon):
+        """``simplify`` is accepted and ignored: the output is always
+        simplified, direct or via a job."""
         _, client = daemon
         local = api.transform_op(cholesky(), LEGAL_SPEC).render()
-        remote = api.TransformResult.from_payload(
-            client.request("transform", program=SRC, spec=LEGAL_SPEC)
-        ).render()
-        assert remote == local
+        assert api.transform_op(cholesky(), LEGAL_SPEC, simplify=True).render() == local
+        for extra in ({}, {"simplify": True}):
+            remote = api.TransformResult.from_payload(
+                client.request("transform", program=SRC, spec=LEGAL_SPEC, **extra)
+            ).render()
+            assert remote == local
+        jid = client.submit("transform", program=SRC, spec=LEGAL_SPEC, simplify=True)
+        remote = api.TransformResult.from_payload(client.job_wait(jid, timeout=60))
+        assert remote.render() == local
 
     def test_complete(self, daemon):
         _, client = daemon

@@ -3,7 +3,8 @@ no document cites deleted machinery: the benchmark result files
 superseded by the ledger (``compare.py``, ``emit.py``,
 ``BENCH_result.json``, the opt-in benchmark environment switches) or the
 ``source-par`` worker pool (its module, dispatcher, flag, environment
-variables and explain phase)."""
+variables and explain phase), or the ``transform`` flag that asked for
+simplified output, which is now the only output."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ GENERATED = ("ledger/out",)
 DELETED = (
     "compare.py", "emit.py", "BENCH_result.json", "REPRO_" "BENCH_",
     "REPRO_" "PAR_JOBS", "REPRO_" "PAR_MIN_FRONT", "--par" "-jobs", "_wf" "_dispatch",
-    "backend/wavefront.py", "--phase wavefront",
+    "backend/wavefront.py", "--phase wavefront", "--simp" "lify",
 )
 
 

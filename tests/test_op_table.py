@@ -33,6 +33,9 @@ MINIMAL = {
 
 #: request fields no CLI flag sets, per op
 DAEMON_ONLY: dict[str, set[str]] = {op: set() for op in api.OPS}
+#: accepted and ignored (output is always simplified); kept only because
+#: the frozen benchmark ledger still sends it
+DAEMON_ONLY["transform"] = {"simplify"}
 
 
 def request_defaults(op: str) -> dict:

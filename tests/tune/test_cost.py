@@ -1,5 +1,5 @@
 """Static cost model: feature extraction, discrimination between loop
-orders, and the realize() generate+simplify pipeline."""
+orders, and realize(): the candidate's generated, simplified program."""
 
 import pytest
 
@@ -30,7 +30,7 @@ class TestRealize:
     def test_identity_realizes_to_original(self):
         # simplification must fold codegen's residual guards/hulls away,
         # or every transformed schedule would be unfairly penalized
-        # against the guard-free original (see cost.realize docstring)
+        # against the guard-free original (see generate_code's docstring)
         prog = cholesky()
         ctx = make_context(prog)
         realized = realize(identity_candidate(ctx))
