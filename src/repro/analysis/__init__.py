@@ -5,7 +5,9 @@ from typing import TYPE_CHECKING
 from repro.util.lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.locality import locality_score, reuse_distances, reuse_histogram
+    from repro.analysis.locality import (
+        locality_score, lru_hit_rate, reuse_distances, reuse_histogram,
+    )
     from repro.analysis.parallel import (
         LoopParallelism, outer_parallel_unit_rows, parallel_loops,
     )
@@ -16,7 +18,7 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.locality": (
-        "locality_score", "reuse_distances", "reuse_histogram",
+        "locality_score", "lru_hit_rate", "reuse_distances", "reuse_histogram",
     ),
     "repro.analysis.parallel": (
         "LoopParallelism", "outer_parallel_unit_rows", "parallel_loops",

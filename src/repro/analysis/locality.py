@@ -8,12 +8,14 @@ where the trace is long, per the HPC guides.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.interp.cache import trace_addresses
 from repro.interp.executor import ArrayStore, Trace
 
-__all__ = ["reuse_distances", "reuse_histogram", "locality_score"]
+__all__ = ["reuse_distances", "reuse_histogram", "locality_score", "lru_hit_rate"]
 
 
 def reuse_distances(trace: Trace, store: ArrayStore, line_bytes: int = 64) -> np.ndarray:
@@ -82,3 +84,34 @@ def locality_score(distances: np.ndarray, capacity_lines: int = 512) -> float:
         return 0.0
     hits = ((distances >= 0) & (distances < capacity_lines)).sum()
     return float(hits) / float(distances.size)
+
+
+def lru_hit_rate(addresses: np.ndarray, capacity_lines: int, line_bytes: int = 64) -> float:
+    """Fraction of ``addresses`` that hit a fully associative LRU cache
+    of ``capacity_lines`` lines: exactly
+    ``locality_score(reuse_distances(...), capacity_lines)``, in O(n).
+
+    A repeat of the line just touched is a hit at distance 0 and leaves
+    the LRU order as it was, so runs of one line are counted and
+    collapsed with NumPy first; only the remaining stream goes through
+    an ``OrderedDict`` of the resident lines.
+    """
+    n = int(addresses.size)
+    if n == 0 or capacity_lines < 1:
+        return 0.0
+    lines = addresses // line_bytes
+    changes = np.empty(n, dtype=bool)
+    changes[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=changes[1:])
+    stream = lines[changes].tolist()
+    hits = n - len(stream)
+    resident: OrderedDict[int, None] = OrderedDict()
+    for line in stream:
+        if line in resident:
+            resident.move_to_end(line)
+            hits += 1
+        else:
+            resident[line] = None
+            if len(resident) > capacity_lines:
+                resident.popitem(last=False)
+    return float(hits) / float(n)

@@ -31,9 +31,9 @@ from repro.codegen.generate import GeneratedProgram, generate_code
 from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import Layout
-from repro.interp.cache import CacheConfig, simulate_cache, trace_addresses
+from repro.interp.cache import CacheConfig, program_addresses, simulate_cache
 from repro.interp.equivalence import check_equivalence
-from repro.interp.executor import ArrayStore, execute
+from repro.interp.executor import ArrayStore
 from repro.ir.ast import Program
 from repro.obs import counter, span, timed
 
@@ -104,12 +104,13 @@ def search_loop_orders(
         else layout.loop_coords()
     )
     params = dict(params)
-    # One shared initial-state snapshot per search.  No variant may mutate
-    # it — execute() copies initial arrays into a fresh store — and the
-    # write=False flag enforces that invariant.
-    base = ArrayStore(program, params).snapshot()
-    for arr in base.values():
-        arr.setflags(write=False)
+    # One shared initial-state snapshot per timed search.  No variant may
+    # mutate it — every run copies initial arrays into a fresh store — and
+    # the write=False flag enforces that invariant.
+    if backend is not None:
+        base = ArrayStore(program, params).snapshot()
+        for arr in base.values():
+            arr.setflags(write=False)
 
     def evaluate(coord) -> SearchResult | None:
         counter("search.leads_tried")
@@ -125,8 +126,7 @@ def search_loop_orders(
             )
             if not rep["ok"]:  # pragma: no cover - legality guarantees this
                 return None
-        store, trace = execute(generated.program, params, arrays=base, trace=True)
-        stats = simulate_cache(trace_addresses(trace, store), cache)
+        stats = simulate_cache(program_addresses(generated.program, params)[0], cache)
         seconds = None
         if backend is not None:
             # Local import: repro.backend depends on repro.analysis for

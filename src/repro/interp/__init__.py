@@ -5,7 +5,9 @@ from typing import TYPE_CHECKING
 from repro.util.lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.interp.cache import CacheConfig, CacheStats, simulate_cache, trace_addresses
+    from repro.interp.cache import (
+        CacheConfig, CacheStats, program_addresses, simulate_cache, trace_addresses,
+    )
     from repro.interp.equivalence import (
         check_equivalence, dependences_preserved, ground_truth_dependences,
         outputs_close, same_instances,
@@ -14,7 +16,8 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.interp.cache": (
-        "CacheConfig", "CacheStats", "simulate_cache", "trace_addresses",
+        "CacheConfig", "CacheStats", "program_addresses", "simulate_cache",
+        "trace_addresses",
     ),
     "repro.interp.equivalence": (
         "check_equivalence", "dependences_preserved",

@@ -27,7 +27,9 @@ from repro.ir.expr import (
 from repro.obs import counter, timed
 from repro.util.errors import InterpError
 
-__all__ = ["ArrayStore", "ExecRecord", "Trace", "execute", "default_init"]
+__all__ = [
+    "ArrayStore", "ExecRecord", "Trace", "execute", "default_init", "declared_extents",
+]
 
 
 @dataclass
@@ -76,16 +78,9 @@ class ArrayStore:
         self.arrays: dict[str, np.ndarray] = {}
         self.lowers: dict[str, tuple[int, ...]] = {}
         init = init or default_init
-        for decl in program.arrays:
-            los, his = [], []
-            for lo, hi in decl.dims:
-                los.append(lo.eval(self.params))
-                his.append(hi.eval(self.params))
-            shape = tuple(h - l + 1 for l, h in zip(los, his))
-            if any(s <= 0 for s in shape):
-                raise InterpError(f"array {decl.name} has empty shape {shape}")
-            self.lowers[decl.name] = tuple(los)
-            self.arrays[decl.name] = init(decl.name, shape)
+        for name, (lowers, shape) in declared_extents(program, self.params).items():
+            self.lowers[name] = lowers
+            self.arrays[name] = init(name, shape)
         self.scalars: dict[str, float] = {}
 
     def _locate(self, name: str, idx: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -112,6 +107,22 @@ class ArrayStore:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.arrays.items()}
+
+
+def declared_extents(
+    program: Program, params: Mapping[str, int]
+) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``{array: (lower bounds, shape)}`` of every declaration at the
+    given parameters, in declaration order; raises :class:`InterpError`
+    for an empty extent."""
+    out: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for decl in program.arrays:
+        los = tuple(lo.eval(params) for lo, _ in decl.dims)
+        shape = tuple(hi.eval(params) - lo + 1 for lo, (_, hi) in zip(los, decl.dims))
+        if any(s <= 0 for s in shape):
+            raise InterpError(f"array {decl.name} has empty shape {shape}")
+        out[decl.name] = (los, shape)
+    return out
 
 
 def default_init(name: str, shape: tuple[int, ...]) -> np.ndarray:

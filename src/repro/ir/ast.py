@@ -47,7 +47,7 @@ class BoundSet:
                 raise IRError("mixed lower/upper terms in one BoundSet")
 
     def eval(self, env: Mapping[str, int]) -> int:
-        vals = [t.eval(dict(env)) for t in self.terms]
+        vals = [t.eval(env) for t in self.terms]
         return max(vals) if self.is_lower else min(vals)
 
     def variables(self) -> frozenset[str]:

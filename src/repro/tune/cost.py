@@ -1,14 +1,22 @@
 """Static cost model: rank *legal* schedules without timing them.
 
 Scoring a candidate is cheap relative to measuring it — code is
-generated once and interpreted at small *model* parameter sizes, never
-at the user's real sizes — but it still captures the two effects the
-measured backends reward:
+generated once and modelled at small *model* parameter sizes, never at
+the user's real sizes, and not one value is computed per candidate —
+but it still captures the effects the measured backends reward:
 
-* **locality** — the O(n log n) Fenwick reuse-distance profile
-  (:func:`repro.analysis.locality.reuse_distances`) of the generated
-  program's trace, summarized by :func:`locality_score` (the hit rate
-  of an ideal LRU cache);
+* **locality** — the hit rate, at ``CAPACITY_LINES``, of an ideal
+  (fully associative) LRU cache replaying the generated program's
+  address stream.  :func:`repro.interp.cache.program_addresses` walks
+  the generated code for that stream without running it, and
+  :func:`repro.analysis.locality.lru_hit_rate` counts the hits in O(n).
+  The stream is the one the reference interpreter's trace would give,
+  element for element.  Values need no model run per candidate:
+  Theorem 2 says a legal schedule executes the same instances on the
+  same values, only in a new order, so a value-level failure is the
+  context program's, and that program is run once per (context, model
+  size).  Symbolically certified candidates (``tune --symbolic``) are
+  not covered by Theorem 2 and keep one interpreter run each;
 * **parallelism / vectorizability** — DOALL verdicts from
   :func:`repro.analysis.parallel.parallel_loops` on the candidate's
   matrix, and the number of innermost loops
@@ -28,7 +36,7 @@ loop fractions and the footprint term as tie-breakers; weights are
 module constants so the benchmarks can ablate them.  ``score_candidate``
 must only ever be called on candidates that already passed the
 Theorem-2 legality test — code generation re-asserts legality, so an
-illegal candidate raises before a single statement instance runs.
+illegal candidate raises before anything about it is modelled.
 """
 
 from __future__ import annotations
@@ -36,20 +44,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.locality import locality_score, reuse_distances
+from repro.analysis.locality import lru_hit_rate
 from repro.analysis.parallel import parallel_loops
 from repro.backend.lower import lower_program
 from repro.codegen.generate import generate_code
+from repro.interp.cache import program_addresses
 from repro.interp.executor import execute
 from repro.ir.ast import Guard, Loop, Node, Program, Statement
 from repro.ir.expr import ArrayRef
 from repro.obs import counter, event, span
-from repro.tune.space import Candidate
+from repro.tune.space import Candidate, Context
 from repro.util.errors import ReproError
 
 __all__ = [
-    "CostReport", "score_candidate", "model_params_for", "realize",
-    "footprint_lines",
+    "CostReport", "score_candidate", "model_params_for", "candidate_model_params",
+    "realize", "footprint_lines",
 ]
 
 
@@ -234,6 +243,38 @@ def model_params_for(
     return {p: min(int(params.get(p, cap)), cap) for p in program_params}
 
 
+def candidate_model_params(
+    candidate: Candidate, params: Mapping[str, int] | None = None
+) -> dict[str, int]:
+    """The sizes :func:`score_candidate` models ``candidate`` at:
+    ``MODEL_PARAM``, or two tiles' worth (at most ``TILED_MODEL_CAP``)
+    for a strip-mined context."""
+    ctx = candidate.context
+    cap = MODEL_PARAM
+    if ctx.tile is not None:
+        cap = min(2 * ctx.tile[1], TILED_MODEL_CAP)
+    return model_params_for(ctx.program.params, params, cap=cap)
+
+
+def _check_values(ctx: Context, mparams: Mapping[str, int]) -> None:
+    """Run the context program once per model size, untraced, and raise
+    what that run raised for every candidate of the context.
+
+    A Theorem-2-legal schedule executes the same instances on the same
+    values, so a value-level failure (a division by zero, say) is the
+    context's, not the candidate's; the address walk checks the rest."""
+    key = tuple(sorted(mparams.items()))
+    if key not in ctx.value_checks:
+        try:
+            execute(ctx.program, mparams)
+            ctx.value_checks[key] = None
+        except ReproError as exc:
+            ctx.value_checks[key] = exc
+    failure = ctx.value_checks[key]
+    if failure is not None:
+        raise failure.with_traceback(None)
+
+
 def score_candidate(
     candidate: Candidate,
     params: Mapping[str, int] | None = None,
@@ -243,8 +284,9 @@ def score_candidate(
     require_legal: bool = True,
 ) -> CostReport:
     """Score a legality-checked candidate.  Raises :class:`ReproError`
-    (never returns a junk score) when code generation or the model
-    execution fails — the driver treats that as "candidate infeasible".
+    (never returns a junk score) when code generation, the address walk
+    or the context's value check fails — the driver treats that as
+    "candidate infeasible".
 
     ``realized`` lets the caller pass an already realized program so
     codegen is not repeated between scoring and measurement.
@@ -255,13 +297,14 @@ def score_candidate(
     with span("tune.score", candidate=candidate.description):
         program = (realized if realized is not None
                    else realize(candidate, require_legal=require_legal))
-        cap = MODEL_PARAM
-        if ctx.tile is not None:
-            cap = min(2 * ctx.tile[1], TILED_MODEL_CAP)
-        mparams = model_params_for(ctx.program.params, params, cap=cap)
-        store, trace = execute(program, mparams, trace=True)
-        dists = reuse_distances(trace, store)
-        locality = locality_score(dists, capacity_lines)
+        mparams = candidate_model_params(candidate, params)
+        if require_legal:
+            _check_values(ctx, mparams)
+        else:
+            # a certified schedule is outside Theorem 2: run its values
+            execute(program, mparams)
+        addresses, instances = program_addresses(program, mparams)
+        locality = lru_hit_rate(addresses, capacity_lines)
 
         real_params = {
             p: int((params or {}).get(p, FOOTPRINT_PARAM_DEFAULT))
@@ -309,6 +352,6 @@ def score_candidate(
         fallback_loops=fallback,
         doall_loops=doall,
         total_loops=len(marks),
-        instances=len(trace),
+        instances=instances,
         footprint_lines=-1.0 if footprint is None else footprint,
     )

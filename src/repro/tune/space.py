@@ -127,6 +127,9 @@ class Context:
     deps: DependenceMatrix
     origin: tuple[str, ...] = ()  # structural steps that produced it
     tile: tuple[str, int] | None = None  # (tile loop var, size) for strip-mined variants
+    #: model parameters -> what running ``program`` there raised (None:
+    #: nothing); filled by the cost model, one interpreter run per size
+    value_checks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_tiled(self) -> bool:

@@ -1,10 +1,22 @@
 """Locality metric tests."""
 
-import numpy as np
+import sys
+from pathlib import Path
 
-from repro.analysis import locality_score, reuse_distances, reuse_histogram
-from repro.interp import execute
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro import kernels
+from repro.analysis import locality_score, lru_hit_rate, reuse_distances, reuse_histogram
+from repro.interp import execute, trace_addresses
 from repro.ir import parse_program
+
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from ledger import zoo  # noqa: E402
 
 
 def run(src, n):
@@ -66,3 +78,40 @@ class TestReuseDistances:
             store, t = run(src, 48)
             scores[name] = locality_score(reuse_distances(t, store), capacity_lines=16)
         assert scores["row"] > scores["col"]
+
+
+def stack_distances(lines: list[int]) -> list[int]:
+    """The textbook O(n²) LRU stack (as in E15's correctness guard)."""
+    stack: list[int] = []
+    out = []
+    for ln in lines:
+        if ln in stack:
+            idx = stack.index(ln)
+            out.append(len(stack) - 1 - idx)
+            stack.pop(idx)
+        else:
+            out.append(-1)
+        stack.append(ln)
+    return out
+
+
+class TestLruHitRate:
+    @pytest.mark.parametrize("name", list(zoo.KERNELS))
+    def test_equals_locality_score_on_zoo_traces(self, name):
+        program = getattr(kernels, name)()
+        store, t = execute(program, dict(zoo.KERNELS[name].small), trace=True)
+        addresses = trace_addresses(t, store)
+        distances = reuse_distances(t, store)
+        for capacity in (1, 2, 16, 1024):
+            assert lru_hit_rate(addresses, capacity) == locality_score(distances, capacity)
+
+    def test_empty_stream(self):
+        assert lru_hit_rate(np.empty(0, dtype=np.int64), 16) == 0.0
+
+    @given(st.lists(st.integers(0, 12), max_size=200), st.integers(1, 8))
+    def test_matches_naive_stack(self, lines, capacity):
+        distances = stack_distances(lines)
+        hits = sum(1 for d in distances if 0 <= d < capacity)
+        expected = hits / len(lines) if lines else 0.0
+        addresses = np.array(lines, dtype=np.int64) * 64 + 8
+        assert lru_hit_rate(addresses, capacity) == expected

@@ -3,7 +3,7 @@ orders, and realize(): the candidate's generated, simplified program."""
 
 import pytest
 
-from repro.ir import program_to_str
+from repro.ir import parse_program, program_to_str
 from repro.kernels import cholesky, matmul
 from repro.legality.check import check_legality
 from repro.tune.cost import (
@@ -85,3 +85,54 @@ class TestScoring:
         ]
         with pytest.raises(ReproError):
             score_candidate(illegal[0])
+
+
+class TestNoInterpretationPerCandidate:
+    """Scoring reads the generated program's address stream; the
+    interpreter runs once per (context, model size), for values only."""
+
+    @staticmethod
+    def _ancestors(sp) -> list[str]:
+        out = []
+        while sp.parent is not None:
+            sp = sp.parent
+            out.append(sp.name)
+        return out
+
+    def test_cholesky_search_spans(self, tmp_path):
+        from repro import obs
+        from repro.tune import TuneStore, tune
+
+        mem = obs.MemorySink()
+        with obs.session(mem):
+            found = tune(cholesky(), {"N": 16}, depth=1, store=TuneStore(tmp_path))
+        scored = [r for r in found.executed if r["stage"] == "score"]
+        contexts = {r["program"] for r in scored}
+        executes = [s for s in mem.spans if s.name == "interp.execute"]
+        at_score = [s for s in executes if "tune.score" in self._ancestors(s)]
+        # the measurement's one reference run; the source-vec backend
+        # times and cross-checks without the interpreter
+        at_measure = [s for s in executes if "tune.measure" in self._ancestors(s)]
+        assert found.backend == "source-vec"
+        assert len(at_score) == len(contexts) < len(scored) == found.scored
+        assert len(at_measure) == 1
+        assert len(executes) == len(at_score) + len(at_measure)
+        walks = [s for s in mem.spans if s.name == "interp.program_addresses"]
+        assert len(walks) == found.scored
+
+    def test_value_failure_is_the_contexts(self):
+        from repro import obs
+
+        src = (
+            "param N\nreal A(N,N)\n"
+            "do I = 1..N\n do J = 1..N\n  S1: A(I,J) = A(I,J) / 0\n enddo\nenddo"
+        )
+        ctx = make_context(parse_program(src))
+        cands = [identity_candidate(ctx)] + [c for c in lead_candidates(ctx) if c.lead == "J"]
+        assert len(cands) == 2
+        mem = obs.MemorySink()
+        with obs.session(mem):
+            for cand in cands:
+                with pytest.raises(ReproError, match="division by zero"):
+                    score_candidate(cand)
+        assert sum(1 for s in mem.spans if s.name == "interp.execute") == 1
