@@ -74,10 +74,10 @@ def test_e19_flat_loop_reported():
     ``mode=flat`` vectorize event that `repro explain --phase vectorize`
     prints."""
     p = _skewed_seidel()
-    with obs.session() as sess:
+    with obs.session() as sess, obs.collect_events() as events:
         lowered = lower_program(p, vectorize=True, parallel=True)
         counters = dict(sess.counters)
-        flat = [ev for ev in sess.events
-                if ev.kind == "vectorize" and ev.attrs.get("mode") == "flat"]
+    flat = [ev for ev in events
+            if ev.kind == "vectorize" and ev.attrs.get("mode") == "flat"]
     assert lowered.flat_loops == counters["backend.flat_loops"] == 1
     assert [ev.attrs["loop"] for ev in flat if ev.verdict == "accept"] == ["J"]

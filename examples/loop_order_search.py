@@ -12,19 +12,13 @@ distribution/jamming variants, compositions — prunes illegality before
 any execution, ranks with a static cost model, measures the survivors
 on a compiled backend, and caches the winner for `repro run --tuned`.
 
-Also demonstrates the §7 future-work extension: completion that applies
-*enabling* loop distributions/fusions when the plain procedure cannot
-realize the requested loop order.
-
 Run:  python examples/loop_order_search.py [N]
 """
 
 import sys
 
-from repro import parse_program, program_to_str
+from repro import program_to_str
 from repro.analysis import search_loop_orders
-from repro.codegen import generate_code
-from repro.completion import complete_with_restructuring
 from repro.interp import CacheConfig
 from repro.kernels import cholesky
 
@@ -58,28 +52,6 @@ def main(n: int = 44) -> None:
           f"({res.speedup:.3f}x vs default order)")
     print("replay it with: python -m repro run examples/cholesky.loop "
           f"--tuned -p N={n}")
-
-    # --- §7 future work: distribution-enabled completion ----------------
-    print("\n--- enabling restructurings ---")
-    p = parse_program(
-        """
-        param N
-        real A(0:N+1), B(0:N+1)
-        do I = 1..N
-          S1: A(I) = f(I)
-          do J = 1..N
-            S2: B(J) = B(J) + A(I)*0.001
-          enddo
-        enddo
-        """,
-        "producer_consumer",
-    )
-    print("source:")
-    print(program_to_str(p, header=False))
-    ec = complete_with_restructuring(p, "J", max_moves=2)
-    print(f"\nmaking J outermost required: {list(ec.moves)}")
-    g = generate_code(ec.program, ec.result.matrix)
-    print(program_to_str(g.program, header=False))
 
 
 if __name__ == "__main__":

@@ -528,8 +528,8 @@ def tune_op(
 def explain_op(program: Program, **fields: Any) -> ExplainResult:
     """Decision provenance, rendered exactly as ``repro explain`` prints
     it; the keywords are those of :func:`repro.explain.explain_program`.
-    Requires an installed observability session for the event-replay
-    phases (the CLI and the daemon both provide one)."""
+    Each phase runs its op here and renders the decision events that
+    call emitted, so no observability session is needed."""
     from repro.explain import explain_program
 
     return ExplainResult(explain_program(program, **fields))
@@ -581,7 +581,7 @@ OPS: dict[str, Op] = {
         Op("run", RunResult, run_op),
         Op("tune", TuneOutcome, tune_op, cacheable=False, context=("cache_dir",)),
         Op("explain", ExplainResult, explain_op, cacheable=False,
-           context=("cache_dir", "jobs")),
+           context=("cache_dir",)),
     )
 }
 

@@ -658,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
         "explain",
         help="decision provenance: why each phase accepted or rejected "
         "(see docs/OBSERVABILITY.md)",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file", help="a .loop file (extension optional) or bundled kernel name")
     p.add_argument(
@@ -730,12 +730,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     profile = getattr(args, "profile", False)
     trace_json = getattr(args, "trace_json", None)
-    # `report` always collects metrics for its metrics section and
-    # `explain` needs the decision events; the other commands only pay
-    # for observability when asked.  `serve` manages its own long-lived
-    # session (including the trace sink) inside the daemon.
+    # `report` always collects metrics for its metrics section; the
+    # other commands only pay for observability when asked (`explain`
+    # collects its own decision events).  `serve` manages its own
+    # long-lived session (including the trace sink) inside the daemon.
     want_obs = (
-        profile or trace_json is not None or args.command in ("report", "explain")
+        profile or trace_json is not None or args.command == "report"
     ) and args.command != "serve"
 
     mem = None

@@ -1,10 +1,5 @@
-"""Completion procedure (system S10, paper §6) and the §7 future-work
-extension (distribution/fusion-enabled completion)."""
+"""Completion procedure (system S10, paper §6)."""
 
 from repro.completion.complete import CompletionResult, complete_transformation
-from repro.completion.enabling import EnabledCompletion, complete_with_restructuring
 
-__all__ = [
-    "complete_transformation", "CompletionResult",
-    "complete_with_restructuring", "EnabledCompletion",
-]
+__all__ = ["complete_transformation", "CompletionResult"]

@@ -4,147 +4,118 @@ Where ``repro report`` answers "what did the analysis conclude",
 ``explain`` answers "*why* did the pipeline accept or reject each
 thing": which dependence vector and projection failed the Theorem-2
 test, which loop was disqualified from vectorization by which access,
-which enabling restructuring the completion procedure chose, and how
-the autotuner's cost ranking compared to the measured ranking
+which row and dependence clashed when the completion procedure failed,
+and how the autotuner's cost ranking compared to the measured ranking
 (Kendall tau).
 
-All phases except ``tune`` re-run the relevant pipeline stage under the
-CLI's observability session and render the typed decision events it
-emits (:mod:`repro.obs.events`) — ``vectorize`` explains, loop by loop,
-why each loop did or did not become a NumPy assignment (flat strided
-views included, as the ``source-par`` backend lowers it); the
-``tune`` phase reads the persisted cache entry a prior ``repro tune``
-wrote, so explaining a tuning run never re-searches or re-measures.
+Every phase except ``tune`` runs the op its command runs — ``check`` for
+``legality``, ``check --symbolic`` for ``symbolic``, ``complete`` for
+``complete``, the ``source-vec`` backend's lowering for ``vectorize`` —
+under :func:`repro.obs.collect_events`, and renders the typed decision
+events (:mod:`repro.obs.events`) *that call* emitted: the verdict and
+its evidence come from one run, with or without an observability
+session.  The ``tune`` phase reads the persisted cache entry a prior
+``repro tune`` wrote, so explaining a tuning run never re-searches or
+re-measures.
 """
 
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
 from typing import Mapping
 
-from repro import obs
+from repro import api, obs
 from repro.api import EXPLAIN_PHASES as PHASES
-from repro.instance import Layout
 from repro.ir import program_to_str
 from repro.tune.ranking import RankReport, rank_report
-from repro.util.errors import ReproError
+from repro.util.errors import CompletionError, ReproError
 
 __all__ = ["explain_program", "PHASES", "render_tune_ranking"]
 
-#: Index into the session's event list where the current explain run
-#: started.  The CLI installs a fresh session per command so this is 0
-#: there; the long-lived service daemon shares one session across many
-#: requests, and slicing from the marker keeps each explain's narrative
-#: scoped to the events *it* emitted rather than the daemon's lifetime.
-_EVENTS_START: ContextVar[int] = ContextVar("repro_explain_events_start", default=0)
+
+# -- phase drivers: each runs one op and returns (head, its events) ---------
 
 
-def _phase_events(phase: str):
-    sess = obs.current_session()
-    start = _EVENTS_START.get()
-    events = sess.events[start:] if sess else []
-    return [ev for ev in events if ev.kind == phase]
-
-
-# -- phase drivers: each runs one pipeline stage and returns a narrative ----
-
-
-def _explain_legality(program, spec, jobs) -> tuple[str, list]:
-    from repro.dependence import analyze_dependences
-    from repro.legality import check_legality
-    from repro.transform.spec import parse_spec
-
+def _explain_legality(program, spec) -> tuple[str, list]:
     if not spec:
         raise ReproError(
             "explain --phase legality needs --spec (the transformation "
             'whose legality verdict you want explained, e.g. --spec "permute(I,J)")'
         )
-    layout = Layout(program)
-    deps = analyze_dependences(program, jobs=jobs)
-    t = parse_spec(layout, spec)
-    report = check_legality(layout, t.matrix, deps)
-    events = _phase_events("legality")
+    with obs.collect_events() as events:
+        result = api.check_op(program, spec)
+    # one legality event per dependence, carrying it as ``dep``
+    verdicts = [ev.verdict for ev in events if ev.kind == "legality" and "dep" in ev.attrs]
+    structural = result.render().splitlines()[0] + "\n" if result.structural else ""
     head = (
-        f"spec: {spec}\n"
-        f"verdict: {'LEGAL' if report.legal else 'ILLEGAL'} "
-        f"({len(report.violations)} violated, "
-        f"{len(report.unsatisfied())} unsatisfied of {len(report.statuses)} dependences)"
+        f"spec: {spec}\n{structural}"
+        f"verdict: {'LEGAL' if result.legal else 'ILLEGAL'} "
+        f"({verdicts.count('reject')} violated, {verdicts.count('info')} "
+        f"unsatisfied of {len(verdicts)} dependences)"
     )
-    return head + "\n" + obs.render_events(events, kind="legality"), events
+    return head, events
 
 
 def _explain_symbolic(program, spec) -> tuple[str, list]:
-    from repro.legality import check
-
     if not spec:
         raise ReproError(
             "explain --phase symbolic needs --spec (the Theorem-2-rejected "
             'transformation to appeal, e.g. --spec "reverse(K)")'
         )
-    report = check(program, spec, oracle="symbolic")
-    if report.legal and report.structural_legal:
-        head = (
-            f"spec: {spec}\n"
-            "verdict: LEGAL by Theorem 2 — the symbolic oracle was not "
-            "consulted (it only hears appeals of projection-test rejections)"
+    with obs.collect_events() as events:
+        result = api.check_op(program, spec, symbolic=True)
+    if result.legal and result.structural_legal:
+        verdict = (
+            "LEGAL by Theorem 2 — the symbolic oracle was not consulted "
+            "(it only hears appeals of projection-test rejections)"
         )
-    elif report.symbolic_legal:
-        cert = report.symbolic.certificate
-        head = (
-            f"spec: {spec}\n"
-            "verdict: SYMBOLIC-LEGAL — rejected by the Theorem-2 projection "
-            "test, certified equivalent by the fractal symbolic oracle\n"
-            f"certificate: {cert.summary()}"
+    elif result.symbolic_verdict == "symbolic-legal":
+        from repro.symbolic import Certificate
+
+        verdict = (
+            "SYMBOLIC-LEGAL — rejected by the Theorem-2 projection test, "
+            "certified equivalent by the fractal symbolic oracle\n"
+            f"certificate: {Certificate.from_payload(result.certificate).summary()}"
         )
     else:
-        head = (
-            f"spec: {spec}\n"
-            f"verdict: {report.symbolic.verdict.upper()} — "
-            f"{report.symbolic.reason}"
+        # the appeal's outcome event carries the oracle's reason
+        reason = next(
+            ev.attrs["detail"] for ev in events
+            if ev.kind == "legality" and ev.verdict == "info" and "detail" in ev.attrs
         )
-    events = _phase_events("legality") + _phase_events("symbolic")
-    body = obs.render_events(_phase_events("symbolic"), kind="symbolic")
-    return head + "\n" + body, events
+        verdict = f"{result.symbolic_verdict.upper()} — {reason}"
+    return f"spec: {spec}\nverdict: {verdict}", events
 
 
 def _explain_complete(program, lead) -> tuple[str, list]:
-    from repro.completion.enabling import complete_with_restructuring
-    from repro.util.errors import CompletionError
-
     if not lead:
         raise ReproError(
             "explain --phase complete needs --lead (the loop variable the "
             "completion should scan outermost, e.g. --lead K)"
         )
-    try:
-        enabled = complete_with_restructuring(program, lead)
-        head = (
-            f"lead: {lead}\n"
-            f"verdict: completed"
-            + (f" after restructuring [{' ; '.join(enabled.moves)}]"
-               if enabled.restructured else " without restructuring")
-        )
-    except CompletionError as exc:
-        head = f"lead: {lead}\nverdict: failed — {exc}"
-    events = _phase_events("complete")
-    return head + "\n" + obs.render_events(events, kind="complete"), events
+    with obs.collect_events() as events:
+        try:
+            api.complete_op(program, lead)
+            verdict = "completed"
+        except CompletionError as exc:
+            verdict = f"failed — {exc}"
+    return f"lead: {lead}\nverdict: {verdict}", events
 
 
 def _explain_vectorize(program) -> tuple[str, list]:
     from repro.backend.lower import lower_program
 
-    try:
-        lowered = lower_program(program, vectorize=True, parallel=True)
-        head = (
-            f"verdict: {lowered.vectorized_loops} loop(s) vectorized "
-            f"({lowered.flat_loops} through flat strided views), "
-            f"{lowered.fallback_loops} innermost DOALL loop(s) stayed scalar"
-        )
-    except ReproError as exc:
-        head = f"verdict: program cannot be lowered — {exc}"
-    events = _phase_events("vectorize")
-    return head + "\n" + obs.render_events(events, kind="vectorize"), events
+    # the lowering `backend.run(..., backend="source-vec")` executes
+    with obs.collect_events() as events:
+        try:
+            lowered = lower_program(program, vectorize=True, parallel=False)
+            verdict = (
+                f"{lowered.vectorized_loops} loop(s) vectorized, "
+                f"{lowered.fallback_loops} innermost DOALL loop(s) stayed scalar"
+            )
+        except ReproError as exc:
+            verdict = f"program cannot be lowered — {exc}"
+    return f"backend: source-vec\nverdict: {verdict}", events
 
 
 def render_tune_ranking(entry: dict) -> str:
@@ -222,46 +193,42 @@ def explain_program(
     cache_dir: str | None = None,
     as_json: bool = False,
     verbose: bool = False,
-    jobs: int | None = None,
 ) -> str:
     """Decision provenance of ``program`` for one ``phase`` (default:
     every phase runnable with the given ``spec``/``lead``), as the text
     ``repro explain`` prints: a narrative, or with ``as_json`` the
-    events and ranking as JSON."""
-    sess = obs.current_session()
-    token = _EVENTS_START.set(len(sess.events) if sess else 0)
-    try:
-        phases = [phase] if phase else [
-            p
-            for p in PHASES
-            if (p not in ("legality", "symbolic") or spec) and (p != "complete" or lead)
-        ]
-        drivers = {
-            "legality": lambda: _explain_legality(program, spec, jobs),
-            "symbolic": lambda: _explain_symbolic(program, spec),
-            "complete": lambda: _explain_complete(program, lead),
-            "vectorize": lambda: _explain_vectorize(program),
-        }
-        sections: list[tuple[str, str]] = []
-        payload: dict = {"program": program.name, "phases": {}}
-        for name in phases:
-            if name == "tune":
-                text, entry = _explain_tune(program, params, cache_dir)
-                payload["phases"]["tune"] = {
-                    "entry": {
-                        k: entry[k]
-                        for k in ("params", "backend", "winner", "ranking")
-                        if k in entry
-                    }
-                    if entry
-                    else None,
+    events and ranking as JSON.  Each phase's events are those its own
+    op call emitted; no observability session is needed."""
+    phases = [phase] if phase else [
+        p
+        for p in PHASES
+        if (p not in ("legality", "symbolic") or spec) and (p != "complete" or lead)
+    ]
+    drivers = {
+        "legality": lambda: _explain_legality(program, spec),
+        "symbolic": lambda: _explain_symbolic(program, spec),
+        "complete": lambda: _explain_complete(program, lead),
+        "vectorize": lambda: _explain_vectorize(program),
+    }
+    sections: list[tuple[str, str]] = []
+    payload: dict = {"program": program.name, "phases": {}}
+    for name in phases:
+        if name == "tune":
+            text, entry = _explain_tune(program, params, cache_dir)
+            payload["phases"]["tune"] = {
+                "entry": {
+                    k: entry[k]
+                    for k in ("params", "backend", "winner", "ranking")
+                    if k in entry
                 }
-            else:
-                text, events = drivers[name]()
-                payload["phases"][name] = {"events": [ev.to_dict() for ev in events]}
-            sections.append((name, text))
-    finally:
-        _EVENTS_START.reset(token)
+                if entry
+                else None,
+            }
+        else:
+            head, events = drivers[name]()
+            text = head + "\n" + obs.render_events(events, kind=name)
+            payload["phases"][name] = {"events": [ev.to_dict() for ev in events]}
+        sections.append((name, text))
 
     if as_json:
         return json.dumps(payload, indent=2, sort_keys=True)

@@ -10,6 +10,8 @@ Quickstart::
         deps = analyze_dependences(program)      # instrumented entry point
     print(mem.render())                          # span tree + metrics
     mem.events_for("legality", "reject")         # decision provenance
+    with obs.collect_events() as events:         # one call's events,
+        check_legality(layout, matrix, deps)     # session or not
 
 Naming conventions (see docs/OBSERVABILITY.md):
 
@@ -23,7 +25,8 @@ Naming conventions (see docs/OBSERVABILITY.md):
   distributions, mergeable across ``--jobs`` workers.
 * events: ``event(kind, verdict, reason, **attrs)`` — one per decision,
   ``kind`` is the pipeline phase, ``verdict`` in accept/reject/measure/
-  info; rendered by ``repro explain``.
+  info; streamed to sinks, gathered per call by ``collect_events()``
+  and rendered by ``repro explain``.
 
 The default state (no session installed) is a no-op with near-zero
 overhead; instrumented library code never needs to guard its calls.
@@ -34,7 +37,7 @@ from repro.obs.core import (
     install, session, snapshot, snapshot_histograms, span, uninstall,
 )
 from repro.obs.decorators import timed
-from repro.obs.events import Event, event, events_for
+from repro.obs.events import Event, collect_events, event, events_for
 from repro.obs.report import (
     format_ns, render_distribution_plan, render_doall_marks, render_events,
     render_full_report, render_histograms, render_metrics, render_report,
@@ -48,7 +51,7 @@ __all__ = [
     "uninstall", "session", "span", "counter", "gauge", "histogram",
     "snapshot", "snapshot_histograms",
     # events
-    "Event", "event", "events_for",
+    "Event", "event", "events_for", "collect_events",
     # decorator
     "timed",
     # sinks

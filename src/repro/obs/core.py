@@ -231,23 +231,18 @@ class Histogram:
         )
 
 
-#: Hard cap on retained decision events per session; beyond it events are
-#: dropped (still streamed to sinks) and ``obs.events_dropped`` counts them.
-MAX_EVENTS = 100_000
-
-
 class ObsSession:
-    """The active collection context: counters, gauges, histograms,
-    decision events and sinks."""
+    """The active collection context: counters, gauges, histograms and
+    sinks.  Decision events stream to the sinks; the session keeps none
+    (:func:`repro.obs.collect_events` gathers one call's events)."""
 
-    __slots__ = ("sinks", "counters", "gauges", "histograms", "events", "_next_id")
+    __slots__ = ("sinks", "counters", "gauges", "histograms", "_next_id")
 
     def __init__(self, sinks: tuple = ()):
         self.sinks = tuple(sinks)
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.events: list = []
         self._next_id = 0
 
     def new_id(self) -> int:
@@ -259,11 +254,6 @@ class ObsSession:
             sink.span(sp)
 
     def emit_event(self, ev) -> None:
-        if len(self.events) < MAX_EVENTS:
-            self.events.append(ev)
-        else:
-            c = self.counters
-            c["obs.events_dropped"] = c.get("obs.events_dropped", 0) + 1
         for sink in self.sinks:
             sink.event(ev)
 

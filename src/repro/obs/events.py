@@ -14,12 +14,15 @@ Usage, at a decision point::
     event("legality", "reject", "projection may be lexicographically negative",
           dep=str(d), projection=str(projected))
 
-Like every other primitive, :func:`event` is a no-op (single global load
-plus ``None`` check) when no session is installed, so decision sites
-never guard their calls.  Events are appended to the session (up to
-``MAX_EVENTS``, then dropped with an ``obs.events_dropped`` counter) and
-streamed to every sink as they occur, children-before-parents ordering
-being irrelevant here: ``seq`` numbers give the exact emission order.
+Events are streamed to every sink of the installed session as they
+occur, and appended to the active :func:`collect_events` list, if any —
+the one way to get the events of *one* call back, which is how
+``repro explain`` renders the run it explains.  Collectors are
+per-context (a :class:`~contextvars.ContextVar`), so two threads of one
+daemon never see each other's events, and a collector records with or
+without a session.  With neither installed, :func:`event` is a no-op
+(one global load plus one ``ContextVar.get()``), so decision sites never
+guard their calls.  ``seq`` numbers give the exact emission order.
 
 Event kinds are the pipeline phase that made the decision (``legality``,
 ``complete``, ``vectorize``, ``tune``, ``fuzz``); verdicts are drawn
@@ -33,12 +36,15 @@ from a small closed set so renderers and tests can switch on them:
 
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.obs import core
 
-__all__ = ["Event", "event", "events_for", "VERDICTS"]
+__all__ = ["Event", "event", "events_for", "collect_events", "VERDICTS"]
 
 #: The closed verdict vocabulary (renderers and tests switch on these).
 VERDICTS = ("accept", "reject", "measure", "info")
@@ -76,17 +82,45 @@ class Event:
         return f"{self.kind}: {self.describe()}"
 
 
+#: The list the current context's events are appended to, if any.
+_collector: ContextVar[list | None] = ContextVar("repro_obs_events", default=None)
+#: ``seq`` source for events recorded with no session installed.
+_seq = itertools.count(1)
+
+
+@contextmanager
+def collect_events() -> Iterator[list[Event]]:
+    """Collect the decision events emitted in this context, in order::
+
+        with obs.collect_events() as events:
+            api.check_op(program, spec)
+
+    The innermost collector gets the events; sinks still receive them."""
+    events: list[Event] = []
+    token = _collector.set(events)
+    try:
+        yield events
+    finally:
+        _collector.reset(token)
+
+
 def event(kind: str, verdict: str, reason: str = "", /, **attrs) -> Event | None:
-    """Record one decision event (no-op returning ``None`` without a
-    session).  ``attrs`` carry the structured evidence — dependence
-    vectors, candidate descriptions, scores — as JSON-friendly values;
-    the positional-only parameters keep ``kind``/``verdict``/``reason``
-    usable as attr names."""
+    """Record one decision event (no-op returning ``None`` with neither a
+    session nor a collector).  ``attrs`` carry the structured evidence —
+    dependence vectors, candidate descriptions, scores — as JSON-friendly
+    values; the positional-only parameters keep ``kind``/``verdict``/
+    ``reason`` usable as attr names."""
     sess = core._session
-    if sess is None:
+    collected = _collector.get()
+    if sess is None and collected is None:
         return None
-    ev = Event(sess.new_id(), kind, verdict, reason, attrs)
-    sess.emit_event(ev)
+    ev = Event(
+        sess.new_id() if sess is not None else next(_seq), kind, verdict, reason, attrs
+    )
+    if collected is not None:
+        collected.append(ev)
+    if sess is not None:
+        sess.emit_event(ev)
     return ev
 
 

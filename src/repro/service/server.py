@@ -38,11 +38,6 @@ from repro.util.errors import ReproError, ServiceError
 
 __all__ = ["ReproService", "ServiceServer", "serve"]
 
-#: Retained decision events before the daemon clears the session list
-#: (sinks have already streamed them; see ``_explain`` for why clearing
-#: happens under the explain lock).
-EVENT_HIGH_WATER = 50_000
-
 #: Largest request body ``POST /v1`` reads.  Programs are source text of
 #: at most a few kilobytes; anything near this is not a request.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -63,7 +58,6 @@ class ReproService:
         self.pool = pool or EnginePool()
         self.tune_dir = tune_dir
         self.jobs = JobQueue(self._run_submitted, workers=job_workers)
-        self._explain_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
         self.started_at = time.time()
         self.shutdown_callback = None  # set by ServiceServer
@@ -148,8 +142,7 @@ class ReproService:
             )
         # tune / explain: serialized per shard, never result-cached
         with shard.lock:
-            run = self._explain if op == "explain" else self._execute
-            return run(req, shard.program), False, False
+            return self._execute(req, shard.program), False, False
 
     @staticmethod
     def _signature(req) -> tuple:
@@ -181,21 +174,6 @@ class ReproService:
         return api.execute(
             req.op, program, fields, cache_dir=self.tune_dir
         ).to_payload()
-
-    def _explain(self, req, program) -> dict:
-        # Serialized globally: the explain narrative replays the decision
-        # events this request emits into the shared daemon session, and
-        # the event-start marker (repro.explain._EVENTS_START) scopes the
-        # slice per request.  Concurrent *non-explain* requests emitting
-        # same-kind events can still interleave — best-effort, documented
-        # in docs/SERVICE.md.  The high-water clear keeps a long-lived
-        # daemon from saturating the session's MAX_EVENTS cap (events are
-        # already streamed to the sinks).
-        with self._explain_lock:
-            sess = obs.current_session()
-            if sess is not None and len(sess.events) > EVENT_HIGH_WATER:
-                sess.events.clear()
-            return self._execute(req, program)
 
     # -- metrics ---------------------------------------------------------
 

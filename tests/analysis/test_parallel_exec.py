@@ -158,14 +158,14 @@ class TestFuzzJobsMetricsParity:
     def test_serial_and_parallel_fuzz_report_identical_events(self):
         from repro.fuzz.runner import fuzz_run
 
-        with obs.session() as s1:
+        with obs.session(), obs.collect_events() as s1:
             fuzz_run(8, seed=3, corpus_dir=None)
-        with obs.session() as s2:
+        with obs.session(), obs.collect_events() as s2:
             fuzz_run(8, seed=3, corpus_dir=None, jobs=2)
 
-        ev1 = [(e.kind, e.verdict, e.reason, e.attrs) for e in s1.events
+        ev1 = [(e.kind, e.verdict, e.reason, e.attrs) for e in s1
                if e.kind == "fuzz"]
-        ev2 = [(e.kind, e.verdict, e.reason, e.attrs) for e in s2.events
+        ev2 = [(e.kind, e.verdict, e.reason, e.attrs) for e in s2
                if e.kind == "fuzz"]
         assert ev1 == ev2
 

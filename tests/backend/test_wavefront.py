@@ -95,12 +95,12 @@ class TestNoWavefrontFallback:
 
     def test_skewed_seidel_reports_wavefront_loop(self):
         p = _scheduled(seidel_2d(), "skew(I, J, 1)")
-        with obs.session() as sess:
+        with obs.collect_events() as events:
             lowered = lower_program(p, vectorize=True, parallel=True)
-            flat = [
-                ev for ev in sess.events
-                if ev.kind == "vectorize" and ev.attrs.get("mode") == "flat"
-            ]
+        flat = [
+            ev for ev in events
+            if ev.kind == "vectorize" and ev.attrs.get("mode") == "flat"
+        ]
         assert lowered.flat_loops == lowered.vectorized_loops == 1
         assert [(ev.verdict, ev.attrs["loop"]) for ev in flat] == [("accept", "J")]
         assert "_fview(" in lowered.source and "_fread(" in lowered.source

@@ -9,7 +9,7 @@ from repro.dependence import analyze_dependences
 from repro.instance import Layout
 from repro.interp import ArrayStore, check_equivalence, execute
 from repro.kernels import (
-    blur_2d, gauss_seidel_1d, gemver_like, jacobi_1d, sweep_pair, syrk_like,
+    blur_2d, gauss_seidel_1d, gemver_like, jacobi_1d, syrk_like,
 )
 from repro.legality import check_legality
 from repro.linalg import IntMatrix
@@ -83,14 +83,6 @@ class TestFrameworkBehaviour:
         g = generate_code(p, t.matrix, deps)
         rep = check_equivalence(p, g.program, {"N": 6}, env_map=g.env_map())
         assert rep["ok"]
-
-    def test_sweep_pair_distribution_noop(self):
-        # already distributed; fusing is the interesting direction
-        from repro.completion.enabling import _fusion_moves
-
-        p = sweep_pair()
-        fused = list(_fusion_moves(p))
-        assert len(fused) == 1
 
     def test_gemver_k_loop_not_parallel(self):
         p = gemver_like()

@@ -75,17 +75,19 @@ class TestCompletionEvents:
         assert accepts[0].attrs["matrix"] == str([list(r) for r in result.matrix])
 
     def test_unrealizable_lead_leaves_reject_trail(self, mem):
-        from repro.completion.enabling import complete_with_restructuring
+        from repro.completion import complete_transformation
         from repro.util.errors import CompletionError
 
+        program = cholesky()
+        layout = Layout(program)
+        lead = layout.loop_index_by_var("I")
+        partial = [[int(j == lead) for j in range(layout.dimension)]]
         with pytest.raises(CompletionError):
-            complete_with_restructuring(cholesky(), "I")
+            complete_transformation(program, partial, layout=layout)
         rejects = mem.events_for("complete", "reject")
         assert rejects
         # the backtracker names the row and dependence that clashed
         assert any("dep" in ev.attrs and "row" in ev.attrs for ev in rejects)
-        # and the restructuring driver records each failed variant's moves
-        assert any(ev.attrs.get("lead") == "I" for ev in rejects)
 
 
 class TestVectorizeEvents:

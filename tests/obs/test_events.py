@@ -1,4 +1,4 @@
-"""The typed decision-event primitive: recording, capping, filtering."""
+"""The typed decision-event primitive: recording, collecting, filtering."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import io
 import json
 
 from repro import obs
-from repro.obs import core
 from repro.obs.events import VERDICTS, Event, event, events_for
 
 
@@ -16,11 +15,11 @@ class TestEventPrimitive:
         assert event("legality", "reject", "nope", dep="d") is None
 
     def test_recorded_in_sequence_order(self, mem):
-        event("legality", "reject", "first")
-        event("tune", "accept", "second")
-        sess = obs.current_session()
-        assert [ev.reason for ev in sess.events] == ["first", "second"]
-        assert sess.events[0].seq < sess.events[1].seq
+        with obs.collect_events() as evs:
+            event("legality", "reject", "first")
+            event("tune", "accept", "second")
+        assert [ev.reason for ev in evs] == ["first", "second"]
+        assert evs[0].seq < evs[1].seq
 
     def test_streamed_to_sinks_at_emit_time(self, mem):
         # sinks see the event immediately, not only at flush
@@ -62,10 +61,10 @@ class TestEventRecord:
 
 class TestEventsFor:
     def test_filters_by_kind_and_verdict(self, mem):
-        event("legality", "reject", "a")
-        event("legality", "accept", "b")
-        event("tune", "reject", "c")
-        evs = obs.current_session().events
+        with obs.collect_events() as evs:
+            event("legality", "reject", "a")
+            event("legality", "accept", "b")
+            event("tune", "reject", "c")
         assert [e.reason for e in events_for(evs, "legality")] == ["a", "b"]
         assert [e.reason for e in events_for(evs, verdict="reject")] == ["a", "c"]
         assert [e.reason for e in events_for(evs, "tune", "reject")] == ["c"]
@@ -76,16 +75,51 @@ class TestEventsFor:
         assert [e.reason for e in mem.events_for("fuzz", "reject")] == ["y"]
 
 
-class TestEventCap:
-    def test_cap_drops_and_counts(self, mem, monkeypatch):
-        monkeypatch.setattr(core, "MAX_EVENTS", 3)
-        for i in range(5):
-            event("fuzz", "info", f"e{i}")
-        sess = obs.current_session()
-        assert len(sess.events) == 3
-        assert sess.counters["obs.events_dropped"] == 2
-        # sinks still receive every event (the stream is not capped)
-        assert len(mem.events) == 5
+class TestCollectEvents:
+    def test_collects_without_session(self):
+        assert obs.current_session() is None
+        with obs.collect_events() as evs:
+            ev = event("legality", "reject", "r", dep="d")
+        assert evs == [ev] and ev.attrs == {"dep": "d"}
+        # a closed collector records nothing more
+        assert event("legality", "reject", "later") is None
+        assert len(evs) == 1
+
+    def test_innermost_collector_gets_the_events(self, mem):
+        with obs.collect_events() as outer:
+            event("tune", "info", "a")
+            with obs.collect_events() as inner:
+                event("tune", "info", "b")
+            event("tune", "info", "c")
+        assert [e.reason for e in outer] == ["a", "c"]
+        assert [e.reason for e in inner] == ["b"]
+        # sinks still see every event
+        assert [e.reason for e in mem.events] == ["a", "b", "c"]
+
+    def test_collectors_are_per_thread(self, mem):
+        import threading
+
+        seen: dict[str, list] = {}
+        barrier = threading.Barrier(2)
+
+        def work(name):
+            with obs.collect_events() as evs:
+                for i in range(50):
+                    event("fuzz", "info", name, index=i)
+                    if i == 0:
+                        barrier.wait()
+            seen[name] = evs
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in ("x", "y")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for name in ("x", "y"):
+            assert [(e.reason, e.attrs["index"]) for e in seen[name]] == [
+                (name, i) for i in range(50)
+            ]
+        assert len(mem.events) == 100
 
 
 class TestJsonlEventLines:

@@ -3,8 +3,9 @@ no document cites deleted machinery: the benchmark result files
 superseded by the ledger (``compare.py``, ``emit.py``,
 ``BENCH_result.json``, the opt-in benchmark environment switches) or the
 ``source-par`` worker pool (its module, dispatcher, flag, environment
-variables and explain phase), or the ``transform`` flag that asked for
-simplified output, which is now the only output."""
+variables and explain phase), the ``transform`` flag that asked for
+simplified output, which is now the only output, or the explain-only
+restructuring completion search."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ DELETED = (
     "compare.py", "emit.py", "BENCH_result.json", "REPRO_" "BENCH_",
     "REPRO_" "PAR_JOBS", "REPRO_" "PAR_MIN_FRONT", "--par" "-jobs", "_wf" "_dispatch",
     "backend/wavefront.py", "--phase wavefront", "--simp" "lify",
+    "complete_with_" "restructuring", "completion.enabling",
 )
 
 
