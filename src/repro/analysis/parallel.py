@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dependence.depvector import DependenceMatrix
-from repro.dependence.entry import zip_dot
 from repro.instance.layout import Layout, LoopCoord
+from repro.legality.check import common_projection, lex_scan
 from repro.legality.structure import recover_structure
 from repro.linalg.intmat import IntMatrix
 
@@ -27,7 +27,7 @@ class LoopParallelism:
 
     path: tuple[int, ...]
     var: str
-    carried: tuple[str, ...]          # dependences definitely/possibly carried here
+    carried: tuple[str, ...]          # dependences this loop may carry
 
     @property
     def is_parallel(self) -> bool:
@@ -39,38 +39,24 @@ def parallel_loops(
 ) -> list[LoopParallelism]:
     """Mark every loop of the transformed program as DOALL or not.
 
-    A dependence is attributed to the outermost common-loop level at
-    which its transformed projection can be nonzero; every level before
-    that is untouched by it.  A loop carrying no dependence is DOALL.
+    A dependence may be carried at every common-loop level whose entry
+    of ``M·d`` may be nonzero while all outer entries may be zero
+    (:func:`~repro.legality.check.lex_scan`).  A loop carrying no
+    dependence is DOALL.
     """
-    structure = recover_structure(layout, matrix)
-    new_layout = structure.new_layout
+    new_layout = recover_structure(layout, matrix).new_layout
     assert new_layout is not None
-
-    carried_at: dict[tuple[int, ...], list[str]] = {
-        c.path: [] for c in new_layout.loop_coords()
+    carried_at: dict[tuple[int, ...], dict[str, None]] = {
+        c.path: {} for c in new_layout.loop_coords()
     }
     for d in deps:
-        md = [zip_dot(row, d.entries) for row in matrix.rows()]
-        common = new_layout.common_loop_coords(d.src, d.dst)
-        for coord in common:
-            e = md[new_layout.index(coord)]
-            if e.is_zero():
-                continue
-            # may be nonzero here: this level can carry (or violate) it
-            carried_at[coord.path].append(f"{d.src}->{d.dst}")
-            if e.definitely_positive():
-                pass
-            break
-
-    out = []
-    for coord in new_layout.loop_coords():
-        seen: list[str] = []
-        for name in carried_at[coord.path]:
-            if name not in seen:
-                seen.append(name)
-        out.append(LoopParallelism(coord.path, coord.var, tuple(seen)))
-    return out
+        common, projected = common_projection(new_layout, matrix, d)
+        for level in lex_scan(projected)[1]:
+            carried_at[common[level].path][f"{d.src}->{d.dst}"] = None
+    return [
+        LoopParallelism(c.path, c.var, tuple(carried_at[c.path]))
+        for c in new_layout.loop_coords()
+    ]
 
 
 def outer_parallel_unit_rows(layout: Layout, deps: DependenceMatrix) -> list[LoopCoord]:

@@ -752,7 +752,11 @@ def main(argv: list[str] | None = None) -> int:
 
             with flush_on_signals():
                 with obs.span(f"cli.{args.command}", file=getattr(args, "file", None)):
-                    return args.fn(args)
+                    rc = args.fn(args)
+            # a reader that closed stdout early fails this flush, not
+            # the one at interpreter exit
+            sys.stdout.flush()
+            return rc
         finally:
             if sess is not None:
                 obs.uninstall()
@@ -773,6 +777,11 @@ def main(argv: list[str] | None = None) -> int:
         ):
             return EXIT_ILLEGAL_TRANSFORM
         return 2
+    except BrokenPipeError:
+        # `repro deps ... | head -1`: the output nobody reads is not an
+        # error; stdout goes to devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

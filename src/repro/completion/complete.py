@@ -30,6 +30,7 @@ from repro.dependence.depvector import DependenceMatrix, DepVector
 from repro.dependence.entry import zip_dot
 from repro.instance.layout import EdgeCoord, Layout, LoopCoord, Path
 from repro.ir.ast import Loop, Node, Program, Statement
+from repro.legality.check import lex_scan
 from repro.linalg.intmat import IntMatrix
 from repro.obs import counter, event, timed
 from repro.util.errors import CompletionError
@@ -78,20 +79,9 @@ def complete_transformation(
         if len(r) != n:
             raise CompletionError(f"partial row length {len(r)} != layout dimension {n}")
 
-    # statements under each node path (for pending-dep bookkeeping)
-    under: dict[Path, set[str]] = {(): set(layout.statement_labels())}
-    for label in layout.statement_labels():
-        p = layout.statement_path(label)
-        for d in range(1, len(p)):
-            under.setdefault(p[:d], set()).add(label)
-
     loop_cols = {layout.index(c): c for c in layout.loop_coords()}
-    edge_cols = {layout.index(c): c for c in layout.edge_coords()}
 
     dep_list = list(deps)
-
-    def row_entry(row: tuple[int, ...], d: DepVector):
-        return zip_dot(row, d.entries)
 
     def children_of(path: Path) -> tuple[Node, ...]:
         if not path:
@@ -99,15 +89,6 @@ def complete_transformation(
         node = layout.node_at(path)
         assert isinstance(node, Loop)
         return node.body
-
-    def subtree_size(path: Path) -> int:
-        idxs = [
-            i
-            for i, c in layout.iter_coords()
-            if c.path[: len(path)] == path
-            or (isinstance(c, EdgeCoord) and c.path == path)
-        ]
-        return len(idxs)
 
     rows: list[tuple[int, ...]] = []
     child_order: dict[Path, list[int]] = {}
@@ -194,8 +175,6 @@ def complete_transformation(
                         if position[ca] > position[cb]:
                             violated = True
                             break
-                        if position[ca] == position[cb]:  # same child; handled deeper
-                            continue
                     if violated:
                         continue
                     rows.extend(trial_rows)
@@ -221,12 +200,6 @@ def complete_transformation(
                 for k in reversed(range(c)):
                     old_child = sigma[k]
                     child_path = path + (old_child,)
-                    child_pending = frozenset(
-                        d_i
-                        for d_i in pending3
-                        if dep_list[d_i].src in under.get(child_path, {None})
-                        or layout.statement_path(dep_list[d_i].src) == child_path
-                    )
                     # restrict to deps fully inside this child
                     child_pending = frozenset(
                         d_i
@@ -262,11 +235,11 @@ def complete_transformation(
                     d = dep_list[d_i]
                     if not _inside(layout, d, path):
                         continue
-                    entry = row_entry(row, d)
-                    if entry.may_be_negative():
+                    sign, _ = lex_scan((zip_dot(row, d.entries),))
+                    if sign == "may-be-negative":
                         bad = d
                         break
-                    if entry.definitely_positive():
+                    if sign == "positive":
                         new_pending.discard(d_i)
                 if bad is not None:
                     counter("completion.rows_pruned")
@@ -299,10 +272,7 @@ def complete_transformation(
             "no legal completion in the permutation/reversal fragment",
             program=program.name,
         )
-        raise CompletionError(
-            "no legal completion in the permutation/reversal fragment; "
-            "pass extra_candidates for skewed completions"
-        )
+        raise CompletionError("no legal completion in the permutation/reversal fragment")
     matrix = IntMatrix(rows)
     event(
         "complete", "accept",

@@ -11,7 +11,7 @@ tests use to prove divergences are detected, shrunk and serialized
 end-to-end.
 
 :func:`run_case` runs one case through the full pipeline and returns a
-:class:`CaseResult` whose ``verdict`` classifies the outcome; the two
+:class:`CaseResult` whose ``verdict`` classifies the outcome; the
 ``divergence-*`` verdicts are contract violations.
 """
 
@@ -40,10 +40,11 @@ __all__ = [
 #: transformation it accepted (or was told to accept), crashed, an
 #: execution backend disagreed with the reference interpreter, the
 #: warm service daemon's output differed from the cold local pipeline,
-#: or a symbolic certificate was contradicted by concrete execution.
+#: a symbolic certificate was contradicted by concrete execution, or
+#: reversing a loop that M·D marks DOALL changed the result.
 DIVERGENCE_VERDICTS = (
     "divergence-oracle", "divergence-crash", "divergence-backend",
-    "divergence-service", "divergence-symbolic",
+    "divergence-service", "divergence-symbolic", "divergence-doall",
 )
 
 #: Outcomes that uphold the two-sided contract.
@@ -278,6 +279,15 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
                 )
         if rep["ok"]:
             if legal:
+                detail = _doall_divergence(
+                    work_program, work_layout, matrix, work_deps, report, g,
+                    case.params_dict(),
+                )
+                if detail is not None:
+                    counter("fuzz.divergences")
+                    return CaseResult(
+                        case, "divergence-doall", detail, legal=True, oracle=rep
+                    )
                 return CaseResult(case, "pass-legal", legal=True, oracle=rep)
             counter("fuzz.illegal_unconfirmed")
             return CaseResult(
@@ -407,6 +417,53 @@ def _judge_symbolic(case: FuzzCase, program, g, rep: dict) -> CaseResult | None:
         f"certificate contradicted by execution: {why} ({summary})",
         legal=False, oracle=rep,
     )
+
+
+def _doall_divergence(program, layout, matrix, deps, report, g,
+                      params: dict) -> str | None:
+    """The DOALL oracle (§7): a loop that carries no dependence can run
+    backwards without changing any value.  Every loop that M·D marks
+    DOALL is reversed by negating its row of ``matrix``, the reversed
+    schedule is generated unchecked, and both generated programs must
+    leave bit-identical stores in the reference interpreter.  The
+    verdict rests on values alone, not on any dependence analysis."""
+    import numpy as np
+
+    from repro.analysis.parallel import parallel_loops
+    from repro.instance.layout import LoopCoord
+    from repro.interp import execute
+    from repro.linalg import IntMatrix
+
+    doall = [m for m in parallel_loops(layout, matrix, deps) if m.is_parallel]
+    if not doall:
+        return None
+
+    def values(store) -> list:
+        return [*store.arrays.values(), *(store.scalars[k] for k in sorted(store.scalars))]
+
+    ref, _ = execute(g.program, params)
+    rows = matrix.rows()
+    for m in doall:
+        i = report.structure.new_layout.index(LoopCoord(m.path, m.var))
+        flipped = IntMatrix(
+            rows[:i] + (tuple(-x for x in rows[i]),) + rows[i + 1:]
+        )
+        counter("fuzz.doall_checks")
+        try:
+            rev = generate_code(program, flipped, deps, require_legal=False)
+        except ReproError:
+            counter("fuzz.doall_skips")
+            continue
+        out, _ = execute(rev.program, params)
+        if out.scalars.keys() != ref.scalars.keys() or not all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(values(ref), values(out))
+        ):
+            return (
+                f"reversing DOALL loop {m.var} at {m.path} changes the "
+                "result: the loop carries a dependence"
+            )
+    return None
 
 
 def _backend_divergence(program, params: dict, backends: tuple[str, ...]) -> str | None:

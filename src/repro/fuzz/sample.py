@@ -12,7 +12,8 @@ weighted shape mix (perfect nests, deep imperfect nests, triangular
 bounds, wide multi-statement bodies); transformations are either random
 compositions of the elementary spec operations (validated against the
 layout at sample time, so the reject rate stays low) or completion
-requests for a random lead loop.  A slice of the spec stream carries a
+requests for a random lead loop; one op of the mix is the wavefront
+pair ``skew(a,b,f); permute(a,b)``.  A slice of the spec stream carries a
 structural ``tile``/``fuse`` prefix (validated via
 :func:`~repro.transform.spec.parse_schedule`), so the strip-mine
 bookkeeping, the fusion legality test and the schedule pullback all sit
@@ -52,6 +53,7 @@ _OP_WEIGHTS = (
     ("reverse", 20),
     ("align", 15),
     ("scale", 10),
+    ("skew-permute", 10),
 )
 
 #: fraction of cases that exercise the completion procedure instead of
@@ -155,8 +157,8 @@ def sample_spec(
     while len(ops) < n_ops and attempts < 8 * max_ops:
         attempts += 1
         op = _sample_op(rng, loops, labels)
-        if op is None:
-            continue
+        if op is None or len(ops) + op.count(";") >= n_ops:
+            continue  # nothing drawn, or a pair with one slot left
         # the structural prefix is already validated, so the linear
         # suffix only needs to parse over the *rewritten* layout —
         # re-running parse_schedule (and its dependence analysis) per
@@ -166,7 +168,7 @@ def sample_spec(
             parse_spec(work_layout, candidate)
         except ReproError:
             continue
-        ops.append(op)
+        ops.extend(op.split("; "))
     if not ops and not structural:
         # every draw failed to validate (e.g. single-loop program where
         # only align could apply); reversal is always expressible
@@ -221,6 +223,11 @@ def _sample_op(rng: random.Random, loops: list[str], labels: list[str]) -> str |
     if kind == "skew" and len(loops) >= 2:
         a, b = rng.sample(loops, 2)
         return f"skew({a},{b},{rng.choice((-2, -1, 1, 2))})"
+    if kind == "skew-permute" and len(loops) >= 2:
+        # the wavefront move: an outer entry of M·d may be zero, so a
+        # dependence can fall through to the interchanged inner loop
+        a, b = rng.sample(loops, 2)
+        return f"skew({a},{b},{rng.choice((1, 2))}); permute({a},{b})"
     if kind == "reverse" and loops:
         return f"reverse({rng.choice(loops)})"
     if kind == "align" and labels and loops:

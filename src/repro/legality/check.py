@@ -10,8 +10,11 @@ carried by the extra loops that augmentation adds (§5.4).
 
 Because dependence entries are intervals, the lexicographic test is
 three-valued: an entry like ``0+`` splits instances between "carried
-here" and "falls through to the next level", which the scan handles by
-continuing with the remaining levels (a sound over-approximation).
+here" and "falls through to the next level", so the scan continues with
+the remaining levels (a sound over-approximation).  :func:`lex_scan` is
+the one copy of that scan: it also reports the levels that may carry
+``d``, which is §7's DOALL test (:func:`repro.analysis.parallel_loops`),
+and the completion procedure screens its candidate rows with it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.dependence.depvector import DependenceMatrix, DepVector
 from repro.dependence.entry import DepEntry, zip_dot
-from repro.instance.layout import Layout
+from repro.instance.layout import Layout, LoopCoord
 from repro.legality.structure import NewStructure, recover_structure
 from repro.linalg.intmat import IntMatrix
 from repro.obs import counter, event, timed
@@ -34,8 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.symbolic import SymbolicOutcome
 
 __all__ = [
-    "LegalityReport", "DepStatus", "check_legality", "lex_status",
-    "assert_legal", "check",
+    "LegalityReport", "DepStatus", "check_legality", "lex_scan",
+    "common_projection", "assert_legal", "check",
 ]
 
 
@@ -98,24 +101,39 @@ class LegalityReport:
         return "\n".join(lines)
 
 
-def lex_status(entries: tuple[DepEntry, ...]) -> str:
-    """Three-valued lexicographic sign of an interval vector.
+def lex_scan(entries: Sequence[DepEntry]) -> tuple[str, tuple[int, ...]]:
+    """Definition 6's lexicographic scan of a common-level projection.
 
-    Returns ``"positive"`` (every instance lexicographically positive),
-    ``"zero-or-positive"`` (no instance can be negative; some may be
-    exactly zero), or ``"may-be-negative"``.
+    Returns the three-valued sign — ``"positive"`` (every instance
+    lexicographically positive), ``"zero-or-positive"`` (no instance can
+    be negative; some may be exactly zero) or ``"may-be-negative"`` —
+    and the levels that may carry the dependence.  A level may carry it
+    iff every earlier entry may be zero and its own entry may be
+    nonzero; the scan stops at the first entry that cannot be zero.
     """
-    may_reach_zero = True
-    for e in entries:
-        if e.definitely_positive():
-            return "positive" if may_reach_zero else "positive"
+    sign = None
+    carriers: list[int] = []
+    for level, e in enumerate(entries):
         if e.is_zero():
             continue
-        if e.definitely_nonnegative():
-            # some instances carried here; the rest fall through with 0
-            continue
-        return "may-be-negative"
-    return "zero-or-positive"
+        carriers.append(level)
+        if e.definitely_positive():
+            return sign or "positive", tuple(carriers)
+        if sign is None and e.may_be_negative():
+            sign = "may-be-negative"
+        if e.definitely_negative():
+            break
+    return sign or "zero-or-positive", tuple(carriers)
+
+
+def common_projection(
+    new_layout: Layout, matrix: IntMatrix, d: DepVector
+) -> tuple[list[LoopCoord], tuple[DepEntry, ...]]:
+    """The loops common to ``d``'s endpoints in the new AST, outside-in,
+    and the entries of ``M·d`` at those loops."""
+    common = new_layout.common_loop_coords(d.src, d.dst)
+    rows = matrix.rows()
+    return common, tuple(zip_dot(rows[new_layout.index(c)], d.entries) for c in common)
 
 
 @timed("legality.check", attr_fn=lambda layout, *a, **kw: {"program": layout.program.name})
@@ -143,17 +161,14 @@ def check_legality(
 
     for d in deps:
         counter("legality.projections_checked")
-        md = tuple(zip_dot(row, d.entries) for row in matrix.rows())
-        common = new_layout.common_loop_coords(d.src, d.dst)
-        positions = [new_layout.index(c) for c in common]
-        projected = tuple(md[i] for i in positions)
-        sign = lex_status(projected)
+        _, projected = common_projection(new_layout, matrix, d)
+        sign, _ = lex_scan(projected)
         if sign == "positive":
             status = DepStatus.SATISFIED_BY_LOOPS
         elif sign == "zero-or-positive":
             if d.src == d.dst:
                 status = DepStatus.UNSATISFIED
-            elif structure.syntactically_before(d.src, d.dst) and d.src != d.dst:
+            elif structure.syntactically_before(d.src, d.dst):
                 status = DepStatus.SATISFIED_SYNTACTICALLY
             else:
                 status = DepStatus.VIOLATED

@@ -59,9 +59,9 @@ class TestSimplifiedCholesky:
 
 
 def _lex_sign(entries):
-    from repro.legality import lex_status
+    from repro.legality import lex_scan
 
-    return lex_status(tuple(entries))
+    return lex_scan(tuple(entries))[0]
 
 
 class TestAugmentationExample:

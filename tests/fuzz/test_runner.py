@@ -2,12 +2,13 @@
 corpus writing, counters, exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.fuzz import fuzz_run, known_illegal_case, run_case
+from repro.fuzz import FuzzCase, fuzz_run, known_illegal_case, run_case
 from repro.fuzz.case import DIVERGENCE_VERDICTS, PASS_VERDICTS
 
 
@@ -23,6 +24,36 @@ class TestRunCase:
 
     def test_verdict_vocabulary_is_closed(self):
         assert not set(DIVERGENCE_VERDICTS) & set(PASS_VERDICTS)
+
+
+class TestDoallOracle:
+    """Reversing a loop that M·D marks DOALL must leave every value as
+    it was; the oracle judges by running both programs."""
+
+    CASE = FuzzCase(
+        program_src=(
+            "param N, T\nreal A(0:N+1)\n"
+            "do S = 1..T\n do I = 1..N\n"
+            "  S1: A(I) = (A(I-1) + A(I) + A(I+1)) / 3\n enddo\nenddo"
+        ),
+        spec="skew(I,S,1); permute(S,I)",
+        params=(("N", 6), ("T", 4)),
+    )
+
+    def test_sound_verdict_passes(self):
+        assert run_case(self.CASE).verdict == "pass-legal"
+
+    def test_over_claimed_doall_loop_is_caught(self, monkeypatch):
+        from repro.analysis import parallel
+
+        real = parallel.parallel_loops
+        monkeypatch.setattr(
+            parallel, "parallel_loops",
+            lambda *a: [replace(m, carried=()) for m in real(*a)],
+        )
+        result = run_case(self.CASE)
+        assert result.verdict == "divergence-doall"
+        assert result.divergent
 
 
 class TestFuzzRun:

@@ -4,8 +4,11 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
+
+import pytest
 
 from repro.fuzz import run_case, sample_case
 from repro.fuzz.sample import SHAPE_WEIGHTS, sample_spec
@@ -90,6 +93,17 @@ class TestCoverage:
             if seen == set(STRUCTURAL_OPS):
                 break
         assert seen == {"tile", "fuse"}
+
+    def test_skew_then_interchange_appears_in_stream(self):
+        """The wavefront pair ``skew(a,b,f); permute(a,b)``, the shape
+        whose outer entry of M·d may be zero, is in the op mix."""
+        for i in range(100):
+            ops = spec_ops(sample_case(1, i).spec)
+            for op, nxt in zip(ops, ops[1:]):
+                m = re.fullmatch(r"skew\((\w+),(\w+),[12]\)", op)
+                if m and nxt == f"permute({m[1]},{m[2]})":
+                    return
+        pytest.fail("no skew-then-interchange pair in 100 cases")
 
     def test_sample_spec_on_single_loop_program(self):
         program = random_program(5, max_depth=1)

@@ -229,3 +229,27 @@ class TestObservabilityFlags:
         captured = capsys.readouterr()
         assert "ILLEGAL" in captured.out
         assert "legality.check" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_ends_quietly(unbuffered):
+    """`repro deps ... | head -1`: a reader that closes stdout early
+    makes the run neither an error (exit 2, `error: ... Broken pipe`)
+    nor a failed exit flush (exit 120); buffered or not, it exits 0 and
+    says nothing."""
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "deps", str(EXAMPLES / "cholesky.loop")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dependence import DepEntry, analyze_dependences
-from repro.legality import DepStatus, assert_legal, check_legality, lex_status
+from repro.dependence.entry import POS_INF
+from repro.legality import DepStatus, assert_legal, check_legality, lex_scan
 from repro.linalg import IntMatrix
 from repro.transform import (
     alignment, compose, permutation, reversal, skew, statement_reorder,
@@ -11,24 +12,48 @@ from repro.transform import (
 from repro.util.errors import LegalityError
 
 
+def sign(entries):
+    return lex_scan(entries)[0]
+
+
 class TestLexStatus:
+    """The sign half of :func:`lex_scan`."""
+
     def test_positive(self):
-        assert lex_status((DepEntry.const(0), DepEntry.plus())) == "positive"
-        assert lex_status((DepEntry.const(2),)) == "positive"
+        assert sign((DepEntry.const(0), DepEntry.plus())) == "positive"
+        assert sign((DepEntry.const(2),)) == "positive"
 
     def test_zero(self):
-        assert lex_status((DepEntry.const(0), DepEntry.const(0))) == "zero-or-positive"
-        assert lex_status(()) == "zero-or-positive"
+        assert sign((DepEntry.const(0), DepEntry.const(0))) == "zero-or-positive"
+        assert sign(()) == "zero-or-positive"
 
     def test_zero_or_positive_falls_through(self):
-        assert lex_status((DepEntry(0, 10), DepEntry.const(0))) == "zero-or-positive"
+        assert sign((DepEntry(0, 10), DepEntry.const(0))) == "zero-or-positive"
 
     def test_may_be_negative(self):
-        assert lex_status((DepEntry.minus(),)) == "may-be-negative"
-        assert lex_status((DepEntry.star(), DepEntry.plus())) == "may-be-negative"
+        assert sign((DepEntry.minus(),)) == "may-be-negative"
+        assert sign((DepEntry.star(), DepEntry.plus())) == "may-be-negative"
 
     def test_definite_positive_after_fallthrough(self):
-        assert lex_status((DepEntry(0, 5), DepEntry.plus())) == "positive"
+        assert sign((DepEntry(0, 5), DepEntry.plus())) == "positive"
+
+
+class TestLexScanCarriers:
+    """The carrier half: the levels that may carry the dependence."""
+
+    def test_carriers_skip_zero_levels_and_stop_at_nonzero(self):
+        assert lex_scan((DepEntry.const(0), DepEntry.plus(), DepEntry.star()))[1] == (1,)
+        assert lex_scan((DepEntry.const(0), DepEntry.const(0)))[1] == ()
+
+    def test_a_level_that_may_be_zero_passes_the_dependence_on(self):
+        """``(0+, 0, +)``: the first level carries some instances, the
+        rest fall through the zero level to the third."""
+        entries = (DepEntry(0, POS_INF), DepEntry.const(0), DepEntry.plus())
+        assert lex_scan(entries) == ("positive", (0, 2))
+
+    def test_scan_stops_at_an_entry_that_cannot_be_zero(self):
+        assert lex_scan((DepEntry.minus(), DepEntry.plus())) == ("may-be-negative", (0,))
+        assert lex_scan((DepEntry.star(), DepEntry.plus())) == ("may-be-negative", (0, 1))
 
 
 class TestSimplifiedCholesky:

@@ -4,13 +4,14 @@ orders, and realize(): the candidate's generated, simplified program."""
 import pytest
 
 from repro.ir import parse_program, program_to_str
-from repro.kernels import cholesky, matmul
+from repro.kernels import cholesky, gauss_seidel_1d, matmul
 from repro.legality.check import check_legality
 from repro.tune.cost import (
     CAPACITY_LINES, MODEL_PARAM, model_params_for, realize, score_candidate,
 )
 from repro.tune.space import (
-    enumerate_candidates, identity_candidate, lead_candidates, make_context,
+    compose_candidate, elementary_candidates, enumerate_candidates,
+    identity_candidate, lead_candidates, make_context,
 )
 from repro.util.errors import ReproError
 
@@ -136,3 +137,15 @@ class TestNoInterpretationPerCandidate:
                 with pytest.raises(ReproError, match="division by zero"):
                     score_candidate(cand)
         assert sum(1 for s in mem.spans if s.name == "interp.execute") == 1
+
+
+def test_skew_then_interchange_of_gauss_seidel_exposes_no_doall_loop():
+    """The depth-2 candidate ``skew(I,S,1); permute(S,I)`` (rows
+    [[1,1],[1,0]]) leaves some ``[+,-1]`` instances to its inner loop,
+    so its parallelism feature counts no DOALL loop."""
+    ctx = make_context(gauss_seidel_1d())
+    steps = {c.description: c for c in elementary_candidates(ctx)}
+    cand = compose_candidate(steps["skew(I,S,1)"], steps["permute(S,I)"])
+    assert cand.matrix.rows() == ((1, 1), (1, 0))
+    report = score_candidate(cand, {"N": 64, "T": 16})
+    assert (report.doall_loops, report.total_loops) == (0, 2)
