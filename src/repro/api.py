@@ -448,14 +448,18 @@ def transform_op(
     ``generate_code`` always simplifies, so ``simplify`` is accepted and
     ignored.  It remains only because the frozen benchmark ledger still
     passes it (as a keyword and on the wire)."""
+    return TransformResult(program_to_str(transformed(program, spec)))
+
+
+def transformed(program: Program, spec: str) -> Program:
+    """The generated program for a legal ``spec``, carrying its schedule."""
     schedule = parse_schedule(program, spec)
     if not schedule.structural_legal:
         raise LegalityError(
             f"structural prefix {'; '.join(schedule.structural)} fails the "
             "Theorem-2 fusion test"
         )
-    g = generate_code(schedule.program, schedule.matrix, schedule.deps)
-    return TransformResult(program_to_str(g.program))
+    return generate_code(schedule.program, schedule.matrix, schedule.deps).program
 
 
 def complete_op(

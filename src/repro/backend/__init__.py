@@ -19,7 +19,7 @@ if TYPE_CHECKING:
         BackendTiming, bench_backends, lower_cached, run, run_lowered,
         time_backend,
     )
-    from repro.backend.vectorize import VecPlan, doall_loop_vars, plan_vector_loop
+    from repro.backend.vectorize import VecPlan, plan_vector_loop
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.backend.lower": ("LoweredProgram", "lower_program"),
@@ -28,5 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "BackendTiming", "bench_backends", "lower_cached", "run", "run_lowered",
         "time_backend",
     ),
-    "repro.backend.vectorize": ("VecPlan", "doall_loop_vars", "plan_vector_loop"),
+    "repro.backend.vectorize": ("VecPlan", "plan_vector_loop"),
 })

@@ -35,7 +35,10 @@ Lowering rules (see docs/BACKENDS.md for the full catalogue):
   ~3x faster than NumPy scalar ops);
 * innermost DOALL loops whose statement passes
   :func:`repro.backend.vectorize.plan_vector_loop` become a single NumPy
-  slice assignment (``vectorize=True`` only);
+  slice assignment (``vectorize=True`` only).  A generated program's
+  DOALL loops come from the schedule it was generated from (M·D, §7),
+  joined by statement label and depth; a hand-written one's from
+  dependence analysis (:func:`repro.analysis.parallel.doall_loops`);
 * with ``parallel=True`` (the ``source-par`` backend) that planner also
   admits references varying with the loop variable in several
   dimensions — the diagonals skewing produces inside a hyperplane
@@ -58,9 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend.vectorize import (
-    VEC_FUNCTIONS, VecPlan, doall_loop_vars, plan_vector_loop,
-)
+from repro.backend.vectorize import VEC_FUNCTIONS, VecPlan, plan_vector_loop
 from repro.ir.ast import (
     ArrayDecl, BoundSet, ExprCondition, Guard, HullBound, Loop, Node, Program,
     Statement,
@@ -486,42 +487,42 @@ def _check_identifiers(program: Program) -> None:
 
 
 def _collect_plans(
-    program: Program, doall: frozenset[str], stats: dict, *, flat: bool
+    program: Program, doall: frozenset[tuple[int, ...]], stats: dict, *, flat: bool
 ) -> dict[int, VecPlan]:
-    """Map id(loop) -> plan for every vectorizable innermost DOALL loop."""
+    """Map id(loop) -> plan for every vectorizable innermost DOALL loop
+    (``doall`` holds loop paths, as :func:`doall_loops` returns them)."""
     arrays = {d.name: d for d in program.arrays}
     plans: dict[int, VecPlan] = {}
 
-    def walk(node: Node, scope: frozenset[str]):
-        if isinstance(node, Loop):
-            inner = scope | {node.var}
-            has_subloop = any(isinstance(c, (Loop, Guard)) for c in node.body)
-            if node.var in doall and not has_subloop:
-                plan = plan_vector_loop(node, scope, arrays, flat=flat)
-                if plan is not None:
-                    plans[id(node)] = plan
-                else:
-                    stats["fallback"] += 1
-            for c in node.body:
-                walk(c, inner)
-        elif isinstance(node, Guard):
-            for c in node.body:
-                walk(c, scope)
+    def walk(nodes: tuple[Node, ...], path: tuple[int, ...], scope: frozenset[str]):
+        for j, node in enumerate(nodes):
+            here = path + (j,)
+            if isinstance(node, Loop):
+                has_subloop = any(isinstance(c, (Loop, Guard)) for c in node.body)
+                if here in doall and not has_subloop:
+                    plan = plan_vector_loop(node, scope, arrays, flat=flat)
+                    if plan is not None:
+                        plans[id(node)] = plan
+                    else:
+                        stats["fallback"] += 1
+                walk(node.body, here, scope | {node.var})
+            elif isinstance(node, Guard):
+                walk(node.body, here, scope)
 
-    base = frozenset(program.params)
-    for n in program.body:
-        walk(n, base)
+    walk(program.body, (), frozenset(program.params))
     return plans
 
 
 def lower_program(
-    program: Program, *, vectorize: bool = False, parallel: bool = False, deps=None
+    program: Program, *, vectorize: bool = False, parallel: bool = False
 ) -> LoweredProgram:
     """Lower ``program`` to a compiled Python function.
 
-    With ``vectorize=True``, innermost DOALL loops (per this library's
-    own dependence analysis — pass ``deps`` to reuse a precomputed
-    matrix) are emitted as NumPy slice assignments when legal.
+    With ``vectorize=True``, innermost DOALL loops are emitted as NumPy
+    slice assignments when legal.  DOALL comes from
+    :func:`~repro.analysis.parallel.doall_loops`: read off M·D for a
+    generated program (it carries its schedule), from the library's
+    own dependence analysis for anything else.
 
     With ``parallel=True`` (the ``source-par`` backend) the same loops
     are vectorized and references varying with the loop in several
@@ -536,7 +537,10 @@ def lower_program(
         stats = {"vectorized": 0, "fallback": 0, "flat": 0}
         plans: dict[int, VecPlan] = {}
         if vectorize or parallel:
-            doall = doall_loop_vars(program, deps)
+            # `repro.analysis` reaches this module through `analysis.search`
+            from repro.analysis.parallel import doall_loops
+
+            doall = doall_loops(program)
             if doall:
                 plans = _collect_plans(program, doall, stats, flat=parallel)
 

@@ -61,7 +61,7 @@ _lower_lock = Lock()
 
 
 def lower_cached(
-    program: Program, *, vectorize: bool = False, parallel: bool = False, deps=None
+    program: Program, *, vectorize: bool = False, parallel: bool = False
 ) -> LoweredProgram:
     """Lower ``program``, memoizing on program identity."""
     key = (id(program), bool(vectorize), bool(parallel))
@@ -71,7 +71,7 @@ def lower_cached(
             _lower_cache.move_to_end(key)
             counter("backend.lower_cache_hits")
             return hit
-    low = lower_program(program, vectorize=vectorize, parallel=parallel, deps=deps)
+    low = lower_program(program, vectorize=vectorize, parallel=parallel)
     with _lower_lock:
         _lower_cache[key] = low
         while len(_lower_cache) > _CACHE_SIZE:
@@ -86,14 +86,11 @@ def run(
     *,
     backend: str = "source",
     init: Callable | None = None,
-    deps=None,
 ) -> ArrayStore:
     """Execute ``program`` with the chosen backend; returns the final store.
 
     ``arrays`` overrides initial contents (copied, never mutated), same
-    contract as :func:`repro.interp.execute`.  ``deps`` optionally reuses
-    a precomputed dependence matrix for ``source-vec``/``source-par``
-    lowering.
+    contract as :func:`repro.interp.execute`.
     """
     if backend not in BACKENDS:
         raise BackendError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
@@ -105,7 +102,6 @@ def run(
         program,
         vectorize=backend in ("source-vec", "source-par"),
         parallel=backend == "source-par",
-        deps=deps,
     )
     return run_lowered(lowered, params, arrays, init=init)
 
@@ -160,7 +156,6 @@ def time_backend(
     *,
     backend: str = "source",
     repeat: int = MIN_TIMING_REPS,
-    deps=None,
 ) -> float:
     """Median wall clock of ``max(MIN_TIMING_REPS, repeat)`` runs, after
     one untimed warm-up (which also pays any lowering cost).
@@ -171,11 +166,11 @@ def time_backend(
     best-of, so one noisy repetition cannot reorder a search.
     """
     reps = max(MIN_TIMING_REPS, int(repeat))
-    run(program, params, arrays=arrays, backend=backend, deps=deps)  # warm-up
+    run(program, params, arrays=arrays, backend=backend)  # warm-up
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        run(program, params, arrays=arrays, backend=backend, deps=deps)
+        run(program, params, arrays=arrays, backend=backend)
         times.append(time.perf_counter() - t0)
     counter(f"backend.timings.{backend}")
     return statistics.median(times)

@@ -3,14 +3,12 @@
 The lowering backend (:mod:`repro.backend.lower`) asks this module two
 questions:
 
-1. Which loop variables are DOALL?  :func:`doall_loop_vars` answers by
-   running the library's own dependence analysis and
-   :func:`repro.analysis.parallel.parallel_loops` on the *identity*
-   transformation: a loop is DOALL exactly when no dependence is carried
-   at its level.  Programs the instance-vector layout cannot describe
-   (generated programs with guards, non-affine subscripts, ...) get the
-   conservative answer "nothing is DOALL" — the backend then emits plain
-   scalar loops, so vectorization is correct by construction.
+1. Which loops are DOALL?  :func:`repro.analysis.parallel.doall_loops`
+   answers with loop paths: read off M·D (§7) for a generated program,
+   which carries the schedule it came from, and from the program's own
+   dependence analysis otherwise — "nothing is DOALL" where that
+   analysis fails, so the backend emits plain scalar loops and
+   vectorization is correct by construction.
 
 2. Can *this* innermost DOALL loop be rewritten as one NumPy slice
    assignment?  :func:`plan_vector_loop` performs the purely syntactic
@@ -32,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ir.ast import ArrayDecl, Loop, Program, Statement
+from repro.ir.ast import ArrayDecl, Loop, Statement
 from repro.ir.expr import ArrayRef, BinOp, Call, Expr, UnaryOp, VarRef, as_affine
-from repro.obs import counter, event
-from repro.util.errors import IRError, ReproError
+from repro.obs import event
+from repro.util.errors import IRError
 
-__all__ = ["VecPlan", "doall_loop_vars", "plan_vector_loop", "VEC_FUNCTIONS"]
+__all__ = ["VecPlan", "plan_vector_loop", "VEC_FUNCTIONS"]
 
 
 def _vmin(*args):
@@ -77,46 +75,6 @@ VEC_FUNCTIONS = {
     "f": _f,
     "g": _g,
 }
-
-
-def doall_loop_vars(program: Program, deps=None) -> frozenset[str]:
-    """Loop variables that carry no dependence (DOALL under identity).
-
-    Returns the empty set — i.e. "vectorize nothing" — whenever the
-    analysis itself cannot handle the program (guards, non-affine
-    subscripts, scalar statements...).  Falling back to scalar emission
-    is always correct, so analysis failure is never an error here.
-    """
-    # Imports are local to keep `repro.backend` importable from
-    # `repro.analysis.search` without a package cycle.
-    from repro.analysis.parallel import parallel_loops
-    from repro.dependence import analyze_dependences
-    from repro.instance import Layout
-    from repro.linalg import IntMatrix
-
-    try:
-        layout = Layout(program)
-        if deps is None:
-            deps = analyze_dependences(program, layout=layout)
-        marks = parallel_loops(layout, IntMatrix.identity(layout.dimension), deps)
-    except ReproError as exc:
-        counter("backend.doall_analysis_failures")
-        event(
-            "vectorize", "reject",
-            "dependence analysis cannot describe this program; "
-            "every loop stays scalar",
-            program=program.name, detail=str(exc),
-        )
-        return frozenset()
-    for m in marks:
-        if m.is_parallel:
-            event("vectorize", "accept", "loop is DOALL (no carried dependence)",
-                  loop=m.var)
-        else:
-            event("vectorize", "reject",
-                  f"loop carries dependence(s): {', '.join(m.carried)}",
-                  loop=m.var)
-    return frozenset(m.var for m in marks if m.is_parallel)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ The pipeline:
 7. the §5.5 cleanup (:func:`~repro.codegen.simplify.simplify_program`)
    with no parameter assumption, so the output holds for every
    parameter value.
+
+The output carries its :class:`~repro.ir.ast.Derivation` (source
+layout, M, D and the augmented rows), from which lowering reads DOALL
+as M·D (§7) without analysing the generated code again.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from repro.dependence.analyze import analyze_dependences, statement_domain
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import Layout
 from repro.ir.ast import (
-    BoundSet, Guard, HullBound, Loop, Node, Program, Statement, simplify_hull,
+    BoundSet, Derivation, Guard, HullBound, Loop, Node, Program, Statement,
+    simplify_hull,
 )
 from repro.ir.expr import Expr, affine_to_expr
 from repro.legality.check import LegalityReport, assert_legal, check_legality
@@ -347,7 +352,10 @@ def generate_code(
         new_body, program.params, program.arrays, name or (program.name + "_gen")
     )
     with span("codegen.simplify"):
-        out = raw.with_body(simplify_program(raw).body)
+        out = raw.with_body(simplify_program(raw).body).derived(Derivation(
+            layout, matrix, deps,
+            {label: tuple(plan.extra_rows) for label, plan in plans.items()},
+        ))
     return GeneratedProgram(out, report, plans, all_exact)
 
 

@@ -172,7 +172,11 @@ def simplify_program(program: Program, assume: System | None = None) -> Program:
     """Apply all cleanup passes; ``assume`` adds parameter facts such as
     ``N >= 1`` that license pruning (the paper's examples assume them
     silently).  ``generate_code`` ends with this pass and no assumption;
-    calling it again, with none, leaves that output unchanged."""
+    calling it again, with none, leaves that output unchanged.
+
+    The result keeps ``program.derivation``: the pass adds no loop and
+    drops only loops left enclosing no statement, so each statement's
+    enclosing loops still match its schedule rows one to one."""
     assume = assume or System()
 
     def walk(node: Node, loops: list[Loop]) -> Node | None:
@@ -227,7 +231,9 @@ def simplify_program(program: Program, assume: System | None = None) -> Program:
                 out.extend(w.body)
             else:
                 out.append(w)
-    return program.with_body(tuple(out), name=program.name + "_simplified")
+    return program.with_body(
+        tuple(out), name=program.name + "_simplified"
+    ).derived(program.derivation)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ and how the autotuner's cost ranking compared to the measured ranking
 
 Every phase except ``tune`` runs the op its command runs — ``check`` for
 ``legality``, ``check --symbolic`` for ``symbolic``, ``complete`` for
-``complete``, the ``source-vec`` backend's lowering for ``vectorize`` —
+``complete``, the ``source-vec`` backend's lowering for ``vectorize``
+(of the program ``transform`` generates, when a spec is given) —
 under :func:`repro.obs.collect_events`, and renders the typed decision
 events (:mod:`repro.obs.events`) *that call* emitted: the verdict and
 its evidence come from one run, with or without an observability
@@ -28,7 +29,7 @@ from repro import api, obs
 from repro.api import EXPLAIN_PHASES as PHASES
 from repro.ir import program_to_str
 from repro.tune.ranking import RankReport, rank_report
-from repro.util.errors import CompletionError, ReproError
+from repro.util.errors import CompletionError, LegalityError, ReproError
 
 __all__ = ["explain_program", "PHASES", "render_tune_ranking"]
 
@@ -102,10 +103,24 @@ def _explain_complete(program, lead) -> tuple[str, list]:
     return f"lead: {lead}\nverdict: {verdict}", events
 
 
-def _explain_vectorize(program) -> tuple[str, list]:
+def _explain_vectorize(program, spec) -> tuple[str, list]:
     from repro.backend.lower import lower_program
 
-    # the lowering `backend.run(..., backend="source-vec")` executes
+    # the lowering `backend.run(..., backend="source-vec")` executes, of
+    # the program `repro transform` prints when a spec is given; an
+    # illegal spec has no such program, so the source is explained
+    head = ""
+    if spec:
+        try:
+            program = api.transformed(program, spec)
+            head = f"spec: {spec}\n"
+        except LegalityError:
+            # the legality phase says why
+            head = f"spec: {spec} is illegal; explaining the source\n"
+    basis = (
+        f"schedule (DOALL read off M·D of {spec!r}, §7)" if program.derivation
+        else "analysis (DOALL from the program's own dependences, §3)"
+    )
     with obs.collect_events() as events:
         try:
             lowered = lower_program(program, vectorize=True, parallel=False)
@@ -115,7 +130,7 @@ def _explain_vectorize(program) -> tuple[str, list]:
             )
         except ReproError as exc:
             verdict = f"program cannot be lowered — {exc}"
-    return f"backend: source-vec\nverdict: {verdict}", events
+    return f"{head}backend: source-vec\nbasis: {basis}\nverdict: {verdict}", events
 
 
 def render_tune_ranking(entry: dict) -> str:
@@ -208,7 +223,7 @@ def explain_program(
         "legality": lambda: _explain_legality(program, spec),
         "symbolic": lambda: _explain_symbolic(program, spec),
         "complete": lambda: _explain_complete(program, lead),
-        "vectorize": lambda: _explain_vectorize(program),
+        "vectorize": lambda: _explain_vectorize(program, spec),
     }
     sections: list[tuple[str, str]] = []
     payload: dict = {"program": program.name, "phases": {}}

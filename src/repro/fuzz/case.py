@@ -40,11 +40,14 @@ __all__ = [
 #: transformation it accepted (or was told to accept), crashed, an
 #: execution backend disagreed with the reference interpreter, the
 #: warm service daemon's output differed from the cold local pipeline,
-#: a symbolic certificate was contradicted by concrete execution, or
-#: reversing a loop that M·D marks DOALL changed the result.
+#: a symbolic certificate was contradicted by concrete execution,
+#: reversing a loop that M·D marks DOALL changed the result, or a
+#: derived dependence fact was finer than §3's analysis of the derived
+#: program.
 DIVERGENCE_VERDICTS = (
     "divergence-oracle", "divergence-crash", "divergence-backend",
     "divergence-service", "divergence-symbolic", "divergence-doall",
+    "divergence-derived",
 )
 
 #: Outcomes that uphold the two-sided contract.
@@ -279,6 +282,12 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
                 )
         if rep["ok"]:
             if legal:
+                detail = _derived_divergence(schedule, g.program)
+                if detail is not None:
+                    counter("fuzz.divergences")
+                    return CaseResult(
+                        case, "divergence-derived", detail, legal=True, oracle=rep
+                    )
                 detail = _doall_divergence(
                     work_program, work_layout, matrix, work_deps, report, g,
                     case.params_dict(),
@@ -463,6 +472,46 @@ def _doall_divergence(program, layout, matrix, deps, report, g,
                 f"reversing DOALL loop {m.var} at {m.path} changes the "
                 "result: the loop carries a dependence"
             )
+    return None
+
+
+def _derived_divergence(schedule, generated) -> str | None:
+    """Police what the pipeline derives instead of analysing, wherever
+    §3 *can* analyse the derived program: a strip-mined program's
+    dependence matrix (derived from its parent's by ``tile``) must have,
+    for every analysed vector, a derived vector with the same endpoints
+    whose entries contain its entries; and every loop M·D marks DOALL in
+    the generated program must be DOALL under its re-analysis too."""
+    from repro.analysis.parallel import doall_loops
+    from repro.instance import Layout
+    from repro.ir.ast import Program
+
+    def analysed(program):
+        try:
+            return analyze_dependences(program, layout=Layout(program))
+        except ReproError:
+            counter("fuzz.derived_skips")
+            return None
+
+    if schedule is not None and any(op.startswith("tile") for op in schedule.structural):
+        counter("fuzz.derived_checks")
+        for a in analysed(schedule.program) or ():
+            if not any(
+                d.src == a.src and d.dst == a.dst
+                and all(e.hull(f) == e for e, f in zip(d.entries, a.entries))
+                for d in schedule.deps
+            ):
+                return f"no derived dependence of the tiled program covers {a}"
+    bare = Program(generated.body, generated.params, generated.arrays, generated.name)
+    if analysed(bare) is None:
+        return None
+    counter("fuzz.derived_checks")
+    finer = doall_loops(generated) - doall_loops(bare)
+    if finer:
+        return (
+            f"M·D marks loop(s) at {sorted(finer)} DOALL, but re-analysis "
+            "of the generated program finds them carrying a dependence"
+        )
     return None
 
 

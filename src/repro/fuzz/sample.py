@@ -17,7 +17,11 @@ pair ``skew(a,b,f); permute(a,b)``.  A slice of the spec stream carries a
 structural ``tile``/``fuse`` prefix (validated via
 :func:`~repro.transform.spec.parse_schedule`), so the strip-mine
 bookkeeping, the fusion legality test and the schedule pullback all sit
-on the differential-testing path.
+on the differential-testing path; half the ``tile`` draws go on to
+reverse or skew the point loop, so the tiled program's *derived*
+dependence matrix meets the legality test.  The ``stencil`` shape (a
+time loop around an in-place shifted read) is the one the DOALL oracle
+exists for.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ SHAPE_WEIGHTS = (
     ("deep", 2),
     ("triangular", 2),
     ("multi", 2),
+    ("stencil", 3),
 )
 
 #: op -> relative weight when sampling spec operations
@@ -152,6 +157,20 @@ def sample_spec(
     loops = [c.var for c in work_layout.loop_coords()]
     labels = work_layout.statement_labels()
     ops: list[str] = []
+    if structural and structural[0].startswith("tile") and rng.random() < 0.5:
+        # reverse or skew the point loop, so the tiled program's derived
+        # dependences meet the legality test on the loop they describe
+        point = structural[0][5:].split(",")[0]
+        others = [v for v in loops if v != point]
+        op = (
+            f"skew({point},{rng.choice(others)},{rng.choice((-1, 1))})"
+            if others and rng.random() < 0.5 else f"reverse({point})"
+        )
+        try:
+            parse_spec(work_layout, op)
+            ops.append(op)
+        except ReproError:
+            pass
     n_ops = rng.randint(1, max_ops) - len(structural)
     attempts = 0
     while len(ops) < n_ops and attempts < 8 * max_ops:

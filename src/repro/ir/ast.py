@@ -10,9 +10,10 @@ max/min over ceil/floor-divided affine terms.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.ir.expr import ArrayRef, Expr, VarRef, as_affine
 from repro.polyhedra.affine import LinExpr
@@ -20,9 +21,14 @@ from repro.polyhedra.bounds import Bound
 from repro.polyhedra.constraint import Constraint
 from repro.util.errors import IRError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dependence.depvector import DependenceMatrix
+    from repro.instance.layout import Layout
+    from repro.linalg.intmat import IntMatrix
+
 __all__ = [
     "Node", "Statement", "Loop", "Guard", "Program", "BoundSet", "HullBound",
-    "simplify_hull", "ArrayDecl", "ExprCondition",
+    "simplify_hull", "ArrayDecl", "ExprCondition", "Derivation",
 ]
 
 
@@ -371,13 +377,41 @@ class ArrayDecl:
 
 
 @dataclass(frozen=True)
+class Derivation:
+    """The schedule a generated program was generated from.
+
+    ``matrix`` is M over the source ``layout`` and ``deps`` the source's
+    dependence matrix D, so the generated program's dependences are
+    M·D (§4) and its DOALL loops can be read off M·D (§7) instead of
+    re-analysing the generated code.  ``extra_rows[label]`` are the
+    §5.4 augmented rows of that statement's innermost extra loops, over
+    its source loops outside-in; its shared loops are M's rows.
+    """
+
+    layout: "Layout"
+    matrix: "IntMatrix"
+    deps: "DependenceMatrix"
+    extra_rows: Mapping[str, tuple[tuple[int, ...], ...]]
+
+
+@dataclass(frozen=True)
 class Program:
-    """A whole loop nest: parameters, array declarations and a body."""
+    """A whole loop nest: parameters, array declarations and a body.
+
+    ``derivation`` is set only on the output of code generation and of
+    :func:`repro.codegen.simplify.simplify_program` applied to it (see
+    :meth:`derived`); every other constructor and rewrite, ``Program(...)``
+    and :meth:`with_body` included, leaves it ``None``.  It takes no
+    part in equality, hashing, printing or any memo key.
+    """
 
     body: tuple[Node, ...]
     params: tuple[str, ...] = ()
     arrays: tuple[ArrayDecl, ...] = ()
     name: str = "program"
+    derivation: Derivation | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for attr in ("body", "params", "arrays"):
@@ -497,6 +531,12 @@ class Program:
 
     def with_body(self, body: Sequence[Node], name: str | None = None) -> "Program":
         return Program(tuple(body), self.params, self.arrays, name or self.name)
+
+    def derived(self, derivation: Derivation | None) -> "Program":
+        """This program, carrying ``derivation``."""
+        out = copy.copy(self)
+        object.__setattr__(out, "derivation", derivation)
+        return out
 
     def fresh_label(self, base: str = "S") -> str:
         used = {s.label for s in self.statements()}

@@ -30,7 +30,7 @@ _PAD = 64
 #: so rare forms (perfect nests, deep imperfect nests, triangular
 #: bounds, wide multi-statement bodies) are sampled often enough to
 #: exercise their dedicated pipeline paths.
-SHAPES = ("mixed", "perfect", "deep", "triangular", "multi")
+SHAPES = ("mixed", "perfect", "deep", "triangular", "multi", "stencil")
 
 
 def random_program(
@@ -54,7 +54,11 @@ def random_program(
       the innermost level, rectangular bounds;
     * ``"deep"`` — depth-4 imperfect nests with statements between loops;
     * ``"triangular"`` — every non-outermost loop is triangular;
-    * ``"multi"`` — wide bodies (many statements per loop).
+    * ``"multi"`` — wide bodies (many statements per loop);
+    * ``"stencil"`` — a time loop around an in-place shifted read such
+      as ``A(V2) = f(A(V2 - 1), A(V2 + 1))`` (Gauss–Seidel's shape:
+      after a skew and an interchange a dependence falls through to
+      the inner loop), sometimes followed by a second sweep.
     """
     if shape not in SHAPES:
         raise ValueError(f"unknown program shape {shape!r}; expected one of {SHAPES}")
@@ -128,7 +132,22 @@ def random_program(
             body.append(statement(loop_vars + [v]))
         return Loop.make(v, lower, upper, body)
 
-    if shape == "perfect":
+    if shape == "stencil":
+        time, space = fresh_var(), fresh_var()
+        arr = arrays[0]
+        ranks[arr] = 1
+        reads = [
+            ArrayRef(arr, [BinOp("+", VarRef(space), IntLit(c)) if c else VarRef(space)])
+            for c in (rng.choice((-2, -1)), rng.choice((0, 1, 2)))
+        ]
+        sweeps: list[Node] = [Loop.make(space, 1, var("N"), [Statement(
+            fresh_label(), ArrayRef(arr, [VarRef(space)]), Call("f", reads),
+        )])]
+        if rng.random() < 0.5:
+            v = fresh_var()
+            sweeps.append(Loop.make(v, 1, var("N"), [statement([time, v])]))
+        top: Node = Loop.make(time, 1, var("N"), sweeps)
+    elif shape == "perfect":
         # a single chain of loops with 1-3 statements at the innermost level
         vs = [fresh_var() for _ in range(max(2, max_depth))]
         body: list[Node] = [statement(vs) for _ in range(rng.randint(1, 3))]

@@ -40,7 +40,7 @@ from repro.transform.matrices import (
     scaling, skew,
 )
 from repro.transform.tiling import (
-    fuse, fuse_legal, fuse_site_offset, loop_path_by_var, strip_mine,
+    fuse, fuse_legal, fuse_site_offset, loop_path_by_var, strip_mine, tiled_deps,
 )
 from repro.util.errors import ReproError
 
@@ -117,7 +117,8 @@ class Schedule:
 
     ``program``/``layout``/``deps`` describe the *rewritten* program the
     ``transformation`` matrix is over (identical to ``source`` when the
-    spec had no structural prefix).  ``structural_legal`` is False when
+    spec had no structural prefix); after a trailing ``tile``, ``deps``
+    is derived from the parent's, not analysed.  ``structural_legal`` is False when
     some ``fuse`` failed the inverse-distribution Theorem-2 test (the
     rewrite is still materialized so illegal-injection fuzzing can
     execute it and observe the divergence); ``tile`` is always legal.
@@ -168,11 +169,18 @@ def parse_schedule(program: Program, spec: str) -> Schedule:
     over the final program's layout.  A ``tile``/``fuse`` *after* a
     linear op is an error (the linear matrix would be over a layout the
     rewrite invalidates).
+
+    The dependence matrix runs alongside: the source's analysis, then
+    one derivation per ``tile`` (:func:`~repro.transform.tiling.tiled_deps`,
+    no §3 run) and a real analysis per ``fuse``, whose legality test
+    asks about loop pairs the fusion creates.  A derived matrix never
+    enters the dependence memo: a memo entry is an analysis.
     """
     parts = spec_ops(spec)
     if not parts:
         raise ReproError("empty transformation spec")
     current = program
+    deps: DependenceMatrix | None = None
     structural: list[str] = []
     pullbacks: list[tuple] = []
     legal = True
@@ -191,7 +199,11 @@ def parse_schedule(program: Program, spec: str) -> Schedule:
                     raise ReproError("tile takes (loop, size)")
                 path = loop_path_by_var(current, args[0])
                 labels = {s.label for s in _loop_at(current, path).statements()}
-                new = strip_mine(current, path, _spec_int(args[1]))
+                size = _spec_int(args[1])
+                new = strip_mine(current, path, size)
+                if deps is None:
+                    deps = analyze_dependences(current)
+                deps = tiled_deps(current, path, size, deps, new)
                 tvar = _loop_at(new, path).var
                 pullbacks.append(
                     ("tile", {lbl: new.loop_vars(lbl).index(tvar) for lbl in labels})
@@ -211,8 +223,8 @@ def parse_schedule(program: Program, spec: str) -> Schedule:
                 assert isinstance(b, Loop)
                 delta = fuse_site_offset(a, b)
                 assert delta is not None
-                fdeps = analyze_dependences(fused)
-                if not fuse_legal(current, path, fused=fused, fused_deps=fdeps):
+                deps = analyze_dependences(fused)
+                if not fuse_legal(current, path, fused=fused, fused_deps=deps):
                     legal = False
                 pullbacks.append(
                     (
@@ -237,7 +249,8 @@ def parse_schedule(program: Program, spec: str) -> Schedule:
                 "transformations in a spec"
             )
     layout = Layout(current)
-    deps = analyze_dependences(current)
+    if deps is None:
+        deps = analyze_dependences(current)
     if rest:
         t = parse_spec(layout, "; ".join(rest))
     else:

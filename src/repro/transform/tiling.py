@@ -47,8 +47,11 @@ square layout transformations:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.dependence.analyze import analyze_dependences
-from repro.dependence.depvector import DependenceMatrix
+from repro.dependence.depvector import DependenceMatrix, DepVector
+from repro.dependence.entry import NEG_INF, POS_INF, DepEntry
 from repro.instance.layout import EdgeCoord, Layout, LoopCoord, Path
 from repro.ir.ast import BoundSet, Loop, Node, Program
 from repro.ir.expr import BinOp, Expr, IntLit, VarRef
@@ -63,7 +66,7 @@ from repro.util.errors import IRError, TransformError
 
 __all__ = [
     "tile", "strip_mine", "fuse", "fuse_site_offset", "fuse_legal",
-    "tiling_matrix", "loop_path_by_var", "tile_var_for",
+    "tiling_matrix", "tiled_deps", "loop_path_by_var", "tile_var_for",
 ]
 
 #: Tile sizes the tuner enumerates (power-of-two ladder spanning the
@@ -171,9 +174,14 @@ def tiling_matrix(program: Program, path: Path, size: int) -> tuple[IntMatrix, P
     mirroring how §4.2 distribution matrices replicate the distributed
     loop's coordinate into each copy.
     """
-    old_layout = Layout(program)
     new_program = strip_mine(program, path, size)
-    new_layout = Layout(new_program)
+    old_layout, new_layout = Layout(program), Layout(new_program)
+    coord_map = _tiling_coord_map(program, new_program, path)
+    return _coord_matrix(old_layout, new_layout, coord_map), new_program
+
+
+def _tiling_coord_map(program: Program, new_program: Program, path: Path):
+    """``new coordinate -> old coordinate`` for the strip-mine at ``path``."""
     loop = _loop_at(program, path)
     tvar = _loop_at(new_program, path).var
     point_path = path + (0,)
@@ -193,7 +201,65 @@ def tiling_matrix(program: Program, path: Path, size: int) -> tuple[IntMatrix, P
             return _remap(nc, path + p[len(point_path):])
         return nc
 
-    return _coord_matrix(old_layout, new_layout, coord_map), new_program
+    return coord_map
+
+
+def tiled_deps(
+    program: Program, path: Path, size: int, deps: DependenceMatrix,
+    tiled: Program,
+) -> DependenceMatrix:
+    """The dependence matrix of ``tiled`` (``program`` strip-mined at
+    ``path`` by ``size``), derived from ``program``'s ``deps`` without
+    running §3 on it.
+
+    Every coordinate but the tile loop's keeps its old entry
+    (:func:`tiling_matrix`'s bookkeeping).  For two instances inside the
+    loop, the tile coordinate is ``floor((i - lo)/size)``, so when
+    ``Δ(i - lo)`` lies in ``[l, h]`` its entry is the floor-division
+    interval ``[floor(l/size), ceil(h/size)]`` (infinite ends stay
+    infinite) — sound for every size.  ``Δlo`` comes from the entries
+    of the enclosing loops ``lo`` mentions.  When only one instance is
+    inside, the other's tile value is a padded enclosing-loop value (or
+    0 without one), and the entry is a half-line or unknown.
+    """
+    old_layout = deps.layout
+    new_layout = Layout(tiled)
+    coord_map = _tiling_coord_map(program, tiled, path)
+    cols = [old_layout.index(coord_map(c)) for c in new_layout.coords]
+    loop = _loop_at(program, path)
+    i_col = old_layout.index(LoopCoord(path, loop.var))
+    t_row = new_layout.index(LoopCoord(path, _loop_at(tiled, path).var))
+    lo = loop.lower.single_affine()
+    outer = {
+        c.var: old_layout.index(c)
+        for c in old_layout.loop_coords() if c.path == path[: len(c.path)]
+    }
+    lo_cols = [(outer[v], c) for v, c in lo.terms() if v in outer]
+    inside = {s.label for s in loop.statements()}
+
+    def tile_entry(d: DepVector) -> DepEntry:
+        src_in, dst_in = d.src in inside, d.dst in inside
+        if src_in and dst_in:
+            span_ = d.entries[i_col]
+            for col, c in lo_cols:
+                span_ = span_ + d.entries[col].scale(-c)
+            return DepEntry(
+                span_.lo if span_.lo == NEG_INF else span_.lo // size,
+                span_.hi if span_.hi == POS_INF else -(-span_.hi // size),
+            )
+        out = d.dst if src_in else d.src
+        if old_layout.pad_source(LoopCoord(path, loop.var), out) is not None:
+            return DepEntry.star()
+        # the outside instance pads the tile coordinate with 0
+        return DepEntry(NEG_INF, 0) if src_in else DepEntry(0, POS_INF)
+
+    derived = []
+    for d in deps:
+        entries = [d.entries[j] for j in cols]
+        if d.src in inside or d.dst in inside:
+            entries[t_row] = tile_entry(d)
+        derived.append(replace(d, entries=tuple(entries)))
+    return DependenceMatrix(new_layout, derived)
 
 
 # -- fusion ------------------------------------------------------------------

@@ -781,4 +781,6 @@ def apply_entry(entry: dict):
             )
     else:
         tuned = generate_code(prog, matrix, deps).program
-    return tuned.with_body(tuned.body, name=(entry.get("program", "program") + "_tuned"))
+    return tuned.with_body(
+        tuned.body, name=(entry.get("program", "program") + "_tuned")
+    ).derived(tuned.derivation)

@@ -48,7 +48,7 @@ from repro.transform.matrices import (
     permutation, reversal, skew, statement_reorder,
 )
 from repro.transform.tiling import (
-    TILE_LADDER, fuse, fuse_legal, fuse_site_offset, strip_mine,
+    TILE_LADDER, fuse, fuse_legal, fuse_site_offset, strip_mine, tiled_deps,
 )
 from repro.util.errors import CompletionError, ReproError, TransformError
 
@@ -310,8 +310,12 @@ def tiled_contexts(
     iteration space), so there is no admission test here — only loops
     the rewrite cannot express (non-unit step, already-divided bounds)
     are skipped.  The *blocked* orders of each variant go through the
-    ordinary Theorem-2 projection test like any other schedule.
+    ordinary Theorem-2 projection test like any other schedule, against
+    the variant's dependence matrix derived from ``program``'s (a
+    dependence-memo hit after the base contexts) by
+    :func:`~repro.transform.tiling.tiled_deps`.
     """
+    deps = analyze_dependences(program)
     out: list[Context] = []
     with span("tune.space.tiled", program=program.name):
         for path in loop_paths(program):
@@ -327,6 +331,7 @@ def tiled_contexts(
                 try:
                     ctx = make_context(
                         variant,
+                        tiled_deps(program, path, size, deps, variant),
                         origin=(f"tile({var},{size})",),
                         tile=(_loop_at(variant, path).var, size),
                     )

@@ -2,10 +2,13 @@
 conditions on subscripts/values decide slice-assignment emission, and
 ``_vslice`` reproduces the per-iteration index walk exactly."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.backend import doall_loop_vars, lower_program, plan_vector_loop, run
+from repro.analysis.parallel import doall_loops
+from repro.backend import lower_program, plan_vector_loop, run
 from repro.backend.lower import _vslice
 from repro.interp import ArrayStore, execute
 from repro.ir import parse_program
@@ -21,6 +24,17 @@ def inner_loop(program):
         if not children:
             return node
         node = children[0]
+
+
+def doall_loop_vars(program) -> set[str]:
+    """Names of the loops :func:`doall_loops` marks DOALL."""
+    out = set()
+    for path in doall_loops(program):
+        node = program.body[path[0]]
+        for j in path[1:]:
+            node = node.body[j]
+        out.add(node.var)
+    return out
 
 
 def plan_for(src: str):
@@ -175,3 +189,44 @@ class TestVsliceSemantics:
         arr = np.arange(6.0)
         got = arr[_vslice(0, 5, -1, 5)]
         assert got.tolist() == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+
+
+class TestVerdictJoin:
+    @pytest.mark.parametrize("backend", ["source-vec", "source-par"])
+    def test_same_named_sibling_loops(self, backend):
+        # the first I loop is DOALL, the second carries C(I-1) -> C(I):
+        # a verdict keyed by loop name vectorized both
+        p = parse_program((GOLDEN / "same_name_loops.loop").read_text())
+        params = {"N": 6}
+        base = ArrayStore(p, dict(params)).snapshot()
+        ref, _ = execute(p, params, arrays=base)
+        got = run(p, params, arrays=base, backend=backend)
+        for name, want in ref.arrays.items():
+            assert np.array_equal(got.arrays[name], want), name
+        assert lower_program(p, vectorize=True).vectorized_loops == 1
+
+    def test_generated_program_takes_its_verdicts_from_the_schedule(self):
+        from repro import obs
+        from repro.codegen import generate_code
+        from repro.transform import parse_schedule
+
+        # §3 refuses the tile hull bounds of the generated cholesky;
+        # M·D marks its I, J and L loops DOALL
+        s = parse_schedule(cholesky(), "tile(K,4)")
+        g = generate_code(s.program, s.matrix, s.deps).program
+        with obs.session() as sess, obs.collect_events() as events:
+            low = lower_program(g, vectorize=True)
+        assert low.vectorized_loops == 2
+        assert sess.counters.get("backend.doall_derived") == 1
+        assert "backend.doall_analysis_failures" not in sess.counters
+        assert {e.attrs.get("basis") for e in events if "loop" in e.attrs
+                and "target" not in e.attrs} == {"schedule"}
+        params = {"N": 9}
+        base = ArrayStore(s.source, dict(params)).snapshot()
+        ref, _ = execute(s.source, params, arrays=base)
+        got = run(g, params, arrays=base, backend="source-vec")
+        for name, want in ref.arrays.items():
+            assert np.allclose(got.arrays[name], want, rtol=1e-12), name

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.backend import lower_program, run
 from repro.codegen import generate_code
-from repro.dependence import analyze_dependences
 from repro.interp import ArrayStore, execute
 from repro.interp.equivalence import outputs_close
 from repro.ir import parse_program
@@ -83,8 +82,7 @@ class TestNoWavefrontFallback:
         """No DOALL band without the skew: lowering reports zero flat
         loops and the source-vec emission still runs correctly."""
         p = gauss_seidel_1d()
-        deps = analyze_dependences(p)
-        lowered = lower_program(p, vectorize=True, parallel=True, deps=deps)
+        lowered = lower_program(p, vectorize=True, parallel=True)
         assert lowered.parallel and lowered.flat_loops == 0
         params = {"N": 9, "T": 4}
         base = ArrayStore(p, dict(params)).snapshot()

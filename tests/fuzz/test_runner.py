@@ -56,6 +56,49 @@ class TestDoallOracle:
         assert result.divergent
 
 
+class TestDerivationCheck:
+    """Where §3 can analyse a derived program, what the pipeline derived
+    for it must be no finer than the analysis."""
+
+    CASE = FuzzCase(
+        program_src=(
+            "param N\nreal A(0:N)\n"
+            "do I = 1..N\n  S1: A(I) = A(I-1) + f(I)\nenddo"
+        ),
+        spec="tile(I,2)",
+        params=(("N", 6),),
+    )
+
+    def test_sound_derivations_pass(self):
+        assert run_case(self.CASE).verdict == "pass-legal"
+
+    def test_too_fine_tile_derivation_is_caught(self, monkeypatch):
+        from repro.dependence.depvector import DependenceMatrix
+        from repro.instance import Layout
+        from repro.transform import spec
+
+        # a derivation that forgets every dependence
+        monkeypatch.setattr(
+            spec, "tiled_deps",
+            lambda program, path, size, deps, tiled: DependenceMatrix(Layout(tiled)),
+        )
+        result = run_case(self.CASE)
+        assert result.verdict == "divergence-derived"
+        assert "covers" in result.detail
+
+    def test_doall_claim_beyond_reanalysis_is_caught(self, monkeypatch):
+        from repro.analysis import parallel
+
+        real = parallel.statement_loop_carriers
+        monkeypatch.setattr(
+            parallel, "statement_loop_carriers",
+            lambda d: {key: () for key in real(d)},
+        )
+        result = run_case(self.CASE.with_(spec="reverse(I); reverse(I)"))
+        assert result.verdict == "divergence-derived"
+        assert "re-analysis" in result.detail
+
+
 class TestFuzzRun:
     def test_bounded_run_is_clean(self, tmp_path):
         session = fuzz_run(6, 0, corpus_dir=tmp_path)

@@ -253,3 +253,29 @@ def test_closed_stdout_ends_quietly(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "examples/cholesky.loop", "permute(K,I)"], 1),
+    (["check", "examples/cholesky.loop", "reverse(L)"], 0),
+    (["check", "examples/cholesky.loop", "frobnicate(K)"], 2),
+    (["transform", "examples/cholesky.loop", "permute(K,I)"], 3),
+], ids=["rejected-verdict", "accepted", "parse-error", "illegal-transform"])
+def test_exit_code_table(argv, code):
+    """One real command per failure kind, and the exit code scripts see:
+    0 accepted, 1 a rejected verdict, 2 a parse/analysis error, 3 an
+    illegal transformation refused as an error.  The fifth kind, 0 when
+    the reader closed stdout early, is
+    :func:`test_closed_stdout_ends_quietly` above."""
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=root, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(b"error: ") == (code >= 2)

@@ -92,9 +92,11 @@ class TestCompletionEvents:
 
 class TestVectorizeEvents:
     def test_per_loop_doall_verdicts(self, mem):
-        from repro.backend.vectorize import doall_loop_vars
+        from repro.analysis.parallel import doall_loops
 
-        doall = doall_loop_vars(cholesky())
+        # I, J and L, by path
+        assert doall_loops(cholesky()) == {(0, 1), (0, 2), (0, 2, 0)}
+        doall = {"I", "J", "L"}
         verdicts = {
             ev.attrs["loop"]: ev.verdict
             for ev in mem.events_for("vectorize")

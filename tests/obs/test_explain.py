@@ -51,6 +51,26 @@ class TestExplainVectorize:
         assert "2 loop(s) vectorized" in out
         assert "loop=K" in out and "carries dependence" in out
         assert "NumPy slice assignment" in out
+        assert "basis: analysis" in out and "basis=analysis" in out
+
+    def test_spec_explains_the_generated_program_by_its_schedule(self, capsys):
+        rc = main(["explain", CHOLESKY, "--phase", "vectorize", "--spec", "tile(K,4)"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "basis: schedule" in out and "basis=analysis" not in out
+        assert "2 loop(s) vectorized" in out
+
+    def test_illegal_spec_explains_the_source(self, capsys):
+        # every phase runs; the vectorize section must not blame lowering
+        # for the spec's illegality
+        rc = main(["explain", CHOLESKY, "--spec", "reverse(K)"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        vec = out.split("--- vectorize ---")[1].split("--- tune ---")[0]
+        assert "spec: reverse(K) is illegal; explaining the source" in vec
+        assert "basis: analysis" in vec
+        assert "2 loop(s) vectorized" in vec
+        assert "cannot be lowered" not in vec
 
 
 class TestExplainComplete:

@@ -283,3 +283,66 @@ if HAVE_HYPOTHESIS:
         ref, _ = execute(p, {"N": n}, arrays=init)
         got, _ = execute(tiled, {"N": n}, arrays=init)
         assert np.array_equal(ref.arrays["A"], got.arrays["A"])
+
+
+class TestTiledDeps:
+    """``tile`` derives the strip-mined program's dependence matrix from
+    its parent's: point coordinates keep their entries and the tile
+    coordinate gets the floor-division interval of ``Δ(i - lo)``."""
+
+    @staticmethod
+    def _entries(src: str, spec: str) -> list[tuple[str, ...]]:
+        s = parse_schedule(parse_program(src), spec)
+        return sorted(d.entry_strs() for d in s.deps)
+
+    def test_floor_interval_of_a_distance(self):
+        src = "param N\nreal A(0:N)\ndo I = 1, N\n  S1: A(I) = A(I - 1)\nenddo"
+        # Δi = 1 -> Δ⌊(i-1)/4⌋ ∈ [⌊1/4⌋, ⌈1/4⌉] = [0, 1]
+        assert self._entries(src, "tile(I,4)") == [("[0,1]", "1")]
+
+    def test_floor_interval_of_a_direction(self):
+        src = "param N\nreal A(0:N)\ndo I = 1, N\n  S1: A(1) = A(I)\nenddo"
+        assert set(self._entries(src, "tile(I,3)")) <= {("0+", "+"), ("*", "*"), ("-0", "-")}
+
+    def test_lower_bound_shift_enters_the_interval(self):
+        # the inner loop starts at K + 1, so two instances one K apart
+        # share no tile origin: Δ(i - lo) = Δi - Δk, not Δi
+        src = (
+            "param N\nreal A(N, N)\n"
+            "do K = 1, N\n  do I = K + 1, N\n    S1: A(I, K) = A(I, K - 1)\n  enddo\nenddo"
+        )
+        (entries,) = self._entries(src, "tile(I,4)")
+        assert entries == ("1", "[-1,0]", "0")
+
+    @pytest.mark.parametrize("name, spec", [
+        ("cholesky", "tile(K,4)"), ("cholesky", "tile(I,8)"), ("trmm", "tile(K,4)"),
+        ("lu", "tile(J,4)"), ("syrk_like", "tile(J,8)"), ("simplified_cholesky", "tile(I,4)"),
+    ])
+    def test_derived_covers_the_analysis(self, name, spec):
+        import repro.kernels as kernels
+
+        s = parse_schedule(getattr(kernels, name)(), spec)
+        analysed = analyze_dependences(s.program)
+
+        for a in analysed:
+            assert any(
+                d.src == a.src and d.dst == a.dst
+                and all(e.hull(f) == e for e, f in zip(d.entries, a.entries))
+                for d in s.deps
+            ), f"{a} not covered"
+
+    def test_no_analysis_of_the_tiled_program(self):
+        from repro.polyhedra import engine
+
+        engine.cache_clear()
+        program = cholesky()
+        analyze_dependences(program)
+        with obs.session() as sess:
+            s = parse_schedule(program, "tile(K,4)")
+        # one memo hit for the source, nothing else analysed
+        assert sess.counters.get("dependence.memo_hits") == 1
+        assert "dependence.memo_misses" not in sess.counters
+        # and the derived matrix never entered the memo
+        with obs.session() as sess:
+            analyze_dependences(s.program)
+        assert sess.counters.get("dependence.memo_misses") == 1
