@@ -398,11 +398,10 @@ def analyze_op(
     *,
     refine: bool = False,
     sample_params: Sequence[str] = (),
-    jobs: int | None = None,
 ) -> AnalyzeResult:
     """Dependence analysis, optionally value-based refined at the
     ``sample_params`` sizes (``"N=6"`` texts)."""
-    deps = analyze_dependences(program, jobs=jobs)
+    deps = analyze_dependences(program)
     if refine:
         from repro.dependence import refine_dependences
 
@@ -462,12 +461,10 @@ def transformed(program: Program, spec: str) -> Program:
     return generate_code(schedule.program, schedule.matrix, schedule.deps).program
 
 
-def complete_op(
-    program: Program, lead: str, *, jobs: int | None = None
-) -> CompleteResult:
+def complete_op(program: Program, lead: str) -> CompleteResult:
     """Complete a partial transformation whose lead loop is ``lead``."""
     layout = Layout(program)
-    deps = analyze_dependences(program, jobs=jobs)
+    deps = analyze_dependences(program)
     n = layout.dimension
     pos = layout.loop_index_by_var(lead)
     partial = [[1 if j == pos else 0 for j in range(n)]]
@@ -581,7 +578,7 @@ OPS: dict[str, Op] = {
         Op("analyze", AnalyzeResult, analyze_op),
         Op("check", CheckResult, check_op),
         Op("transform", TransformResult, transform_op),
-        Op("complete", CompleteResult, complete_op, context=("jobs",)),
+        Op("complete", CompleteResult, complete_op),
         Op("run", RunResult, run_op),
         Op("tune", TuneOutcome, tune_op, cacheable=False, context=("cache_dir",)),
         Op("explain", ExplainResult, explain_op, cacheable=False,
@@ -596,21 +593,20 @@ def execute(
     fields: Mapping[str, Any],
     *,
     cache_dir: str | None = None,
-    jobs: int | None = None,
 ):
     """Run pipeline op ``op`` on ``program`` and return its result object.
 
     ``fields`` are request fields by wire name (any subset; the rest
     take the op's defaults) — the same dict a remote caller hands to
-    ``ServiceClient.request``.  ``cache_dir`` (the tuning cache) and
-    ``jobs`` (analysis fan-out) belong to the process doing the work:
-    the local CLI passes its flags, the daemon its own tune directory.
+    ``ServiceClient.request``.  ``cache_dir`` (the tuning cache) belongs
+    to the process doing the work: the local CLI passes its flag, the
+    daemon its own tune directory.
     """
     spec = OPS[op]
     kwargs = dict(fields)
     name = kwargs.pop("name", "")  # tune/explain: the client's program name
     if name:
         program = dataclasses.replace(program, name=name)
-    context = {"cache_dir": cache_dir, "jobs": jobs}
+    context = {"cache_dir": cache_dir}
     kwargs.update((key, context[key]) for key in spec.context)
     return spec.fn(program, **kwargs)

@@ -91,8 +91,7 @@ def _run_op(args, op: str, program, **fields):
         )
         return api.OPS[op].from_payload(payload)
     return api.execute(
-        op, program, fields,
-        cache_dir=getattr(args, "cache_dir", None), jobs=getattr(args, "jobs", None),
+        op, program, fields, cache_dir=getattr(args, "cache_dir", None)
     )
 
 
@@ -112,7 +111,7 @@ def cmd_show(args) -> int:
 def cmd_deps(args) -> int:
     result = _run_op(
         args, "analyze", _load(args.file), refine=args.refine,
-        sample_params=tuple(args.param or ()), jobs=args.jobs,
+        sample_params=tuple(args.param or ()),
     )
     print(result.render())
     return 0
@@ -286,7 +285,7 @@ def cmd_report(args) -> int:
         print(f"(report below analyzes the tuned program)\n")
         program = tuned
     layout = Layout(program)
-    deps = analyze_dependences(program, jobs=args.jobs)
+    deps = analyze_dependences(program)
     marks = parallel_loops(layout, IntMatrix.identity(layout.dimension), deps)
     plan = distribution_plan(program, deps)
     params = _params(args.param) or {p: 16 for p in program.params}
@@ -408,18 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write spans and metrics as JSON lines to PATH",
     )
 
-    # parallel fan-out shared by the analysis-heavy commands
-    jobsflags = argparse.ArgumentParser(add_help=False)
-    jobsflags.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan dependence analysis out over N worker processes "
-        "(0 = one per CPU; results are identical to serial runs)",
-    )
-
     # remote-daemon targeting shared by the service-backed commands
     remoteflags = argparse.ArgumentParser(add_help=False)
     remoteflags.add_argument(
@@ -436,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "deps", help="print the dependence matrix",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
     p.add_argument("--refine", action="store_true", help="value-based refinement")
@@ -468,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "complete", help="complete a partial transformation",
-        parents=[obsflags, jobsflags, remoteflags],
+        parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
     p.add_argument("--lead", required=True, help="loop variable to scan outermost")
@@ -594,9 +581,18 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "fuzz",
         help="differential fuzzing of the whole pipeline (see docs/FUZZING.md)",
-        parents=[obsflags, jobsflags],
+        parents=[obsflags],
     )
     p.add_argument("--runs", type=int, default=100, help="number of cases")
+    p.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fan the cases out over N worker processes (0 = one per CPU; "
+        "the output is identical to a serial run)",
+    )
     p.add_argument("--seed", type=int, default=0, help="master seed of the case stream")
     p.add_argument(
         "--corpus",
@@ -683,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser(
-        "report", help="full analysis report", parents=[obsflags, jobsflags]
+        "report", help="full analysis report", parents=[obsflags]
     )
     p.add_argument("file")
     p.add_argument("-p", "--param", "--params", action="append", dest="param",

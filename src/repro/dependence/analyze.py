@@ -14,9 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from repro.util.parallel_exec import (
-    capture_counters, chunk_round_robin, map_in_processes, merge_metrics, resolve_jobs,
-)
 from repro.dependence.depvector import DepKind, DependenceMatrix, DepVector
 from repro.dependence.entry import NEG_INF, POS_INF, DepEntry
 from repro.instance.layout import EdgeCoord, Layout, LoopCoord
@@ -149,7 +146,6 @@ def analyze_dependences(
     *,
     layout: Layout | None = None,
     param_assumptions: System | None = None,
-    jobs: int | None = None,
 ) -> DependenceMatrix:
     """Compute the dependence matrix of a program.
 
@@ -158,17 +154,11 @@ def analyze_dependences(
     ``param_assumptions`` may add constraints on symbolic parameters
     (e.g. ``N >= 2``).
 
-    ``jobs`` fans the statement-pair × depth case matrix out across a
-    process pool (``0`` = one worker per CPU); the merge preserves pair
-    order, so the result is bit-identical to the serial analysis.  Small
-    programs and ``jobs=1`` stay serial.
-
     The result is memoized in the query engine
     (:mod:`repro.polyhedra.engine`) per distinct program *structure* —
     body, params, arrays; not the name — together with the assumptions.
-    ``jobs`` does not change the result and a layout is determined by
-    the program (up to its ``optimize_single_edges`` switch, which is
-    keyed).  Every call returns a fresh :class:`DependenceMatrix` the
+    A layout is determined by the program (up to its
+    ``optimize_single_edges`` switch, which is keyed).  Every call returns a fresh :class:`DependenceMatrix` the
     caller may extend; the immutable vectors are shared.  The engine's
     knobs (``cache_clear``, ``cache_disabled``, ``REPRO_FM_CACHE=0``)
     force a real analysis.
@@ -178,7 +168,7 @@ def analyze_dependences(
     with span("dependence.analyze", program=program.name) as sp:
         eng = _engine.active()
         if eng is None:
-            return _analyze(program, layout, assume, jobs)
+            return _analyze(program, layout, assume)
         key = (
             program.body, program.params, program.arrays,
             layout.optimize_single_edges, assume.canonical_key(),
@@ -188,7 +178,7 @@ def analyze_dependences(
         if hit:
             matrix = DependenceMatrix(layout, list(deps))
         else:
-            matrix = _analyze(program, layout, assume, jobs)
+            matrix = _analyze(program, layout, assume)
             eng.put_analysis(key, tuple(matrix.deps))
         counter("dependence.memo_hits" if hit else "dependence.memo_misses")
         if sp is not None:
@@ -196,45 +186,16 @@ def analyze_dependences(
         return matrix
 
 
-def _analyze(
-    program: Program,
-    layout: Layout,
-    base_assume: System,
-    jobs: int | None,
-) -> DependenceMatrix:
+def _analyze(program: Program, layout: Layout, base_assume: System) -> DependenceMatrix:
     """The real §3 analysis behind :func:`analyze_dependences`' memo."""
     matrix = DependenceMatrix(layout)
-    pairs = list(iter_conflicting_pairs(program))
-    njobs = resolve_jobs(jobs)
-
-    if njobs > 1 and len(pairs) >= _MIN_PAIRS_FOR_POOL:
-        per_pair: dict[int, list[DepVector]] = {}
-        payloads = [
-            (program, base_assume, indices)
-            for indices in chunk_round_robin(len(pairs), njobs)
-        ]
-        for results, metrics in map_in_processes(
-            _analyze_pairs_task, payloads, jobs=njobs
-        ):
-            merge_metrics(metrics)
-            for i, vectors in results:
-                per_pair[i] = vectors
-        for i in range(len(pairs)):
-            for dep in per_pair.get(i, ()):
-                matrix.add(dep)
-        return matrix
-
     sides = _statement_sides(program)
-    for src_acc, dst_acc, kind in pairs:
+    for src_acc, dst_acc, kind in iter_conflicting_pairs(program):
         for dep in _pair_vectors(
             program, layout, sides, src_acc, dst_acc, kind, base_assume
         ):
             matrix.add(dep)
     return matrix
-
-
-#: Below this many conflicting pairs the pool costs more than it saves.
-_MIN_PAIRS_FOR_POOL = 4
 
 
 def _statement_sides(program: Program) -> dict[str, tuple[tuple[System, dict[str, str]], ...]]:
@@ -247,7 +208,7 @@ def _statement_sides(program: Program) -> dict[str, tuple[tuple[System, dict[str
     statements, 61 pairs) and neither its domain nor its renaming
     depends on the partner, so each is built once per analysis (every
     statement writes, hence pairs at least with itself).  The table
-    lives for one analysis, or one worker chunk, and is passed down.
+    lives for one analysis and is passed down.
     """
     sides = {}
     for stmt in program.statements():
@@ -257,34 +218,6 @@ def _statement_sides(program: Program) -> dict[str, tuple[tuple[System, dict[str
             for prefix in (_SRC, _DST)
         )
     return sides
-
-
-def _analyze_pairs_task(payload) -> tuple[list[tuple[int, list[DepVector]]], dict[str, int]]:
-    """Process-pool task: evaluate the cases of a chunk of conflicting
-    pairs, identified by index into the (deterministic) pair enumeration.
-
-    The payload carries only picklable values (the Program, the
-    assumption System, the pair indices); the worker re-derives layout,
-    pair list and statement-side table, evaluates its chunk, and returns
-    the dependence vectors together with its observability-counter delta.
-    """
-    program, base_assume, indices = payload
-    with capture_counters() as cap:
-        layout = Layout(program)
-        sides = _statement_sides(program)
-        pairs = list(iter_conflicting_pairs(program))
-        results = []
-        for i in indices:
-            src_acc, dst_acc, kind = pairs[i]
-            results.append(
-                (
-                    i,
-                    _pair_vectors(
-                        program, layout, sides, src_acc, dst_acc, kind, base_assume
-                    ),
-                )
-            )
-    return results, cap.metrics
 
 
 def _pair_vectors(

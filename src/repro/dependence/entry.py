@@ -16,9 +16,9 @@ from repro.util.errors import DependenceError
 
 __all__ = ["DepEntry", "NEG_INF", "POS_INF"]
 
-# Compare against these with ``==``, never ``is``: entries cross process
-# boundaries in the ``--jobs`` fan-out, and unpickled floats are distinct
-# objects (equality on ±inf is exact either way).
+# Compare against these with ``==``, never ``is``: any other ``float("inf")``
+# (parsed, computed or copied) is a distinct object, and equality on ±inf
+# is exact either way.
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 

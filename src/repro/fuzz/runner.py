@@ -1,11 +1,13 @@
 """Batch fuzzing: sample N cases, fan out, shrink and serialize failures.
 
-:func:`fuzz_run` drives a whole session.  Case *execution* fans out over
-a process pool (reusing :mod:`repro.util.parallel_exec`, the same
-machinery as ``analyze_dependences --jobs``); each worker re-derives its
-cases from ``(master_seed, index)`` — cases are never pickled out, only
-light result summaries and observability-counter deltas come back, and
-results are re-assembled in index order so a parallel run is
+:func:`fuzz_run` drives a whole session.  With ``jobs`` > 1, case
+*execution* fans out over a process pool (:mod:`repro.util.parallel_exec`,
+whose only user this is): the case indices are dealt into hands, and
+each worker re-derives its sampled cases from ``(master_seed, index)``.
+Only injected cases travel to the workers; results come back as
+:class:`CaseResult` objects without their oracle reports
+(``oracle=None``), together with each worker's observability-metric
+delta, and are re-assembled in index order so a parallel run is
 bit-identical to a serial one.  Divergence *shrinking* and corpus
 *writing* stay in the parent process, serially, in index order: the
 corpus a run produces is deterministic in ``(seed, runs)`` regardless of
@@ -14,7 +16,7 @@ corpus a run produces is deterministic in ``(seed, runs)`` regardless of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -182,81 +184,38 @@ def _run_all(
     service: str = "",
     symbolic: bool = False,
 ) -> list[CaseResult]:
-    indices = list(range(runs))
     if jobs <= 1 or runs < 2:
         return [
             run_case(
                 _case_at(seed, i, inject, backends, service, symbolic),
                 strict_illegal=strict_illegal,
             )
-            for i in indices
+            for i in range(runs)
         ]
     chunks = chunk_round_robin(runs, jobs)
-    inject_items = tuple(
-        (i, _case_payload(c)) for i, c in sorted(inject.items())
-    )
     tasks = [
-        (seed, tuple(chunk), inject_items, strict_illegal, backends, service,
-         symbolic)
+        (seed, chunk, inject, strict_illegal, backends, service, symbolic)
         for chunk in chunks
     ]
     by_index: dict[int, CaseResult] = {}
     for chunk_results, metrics in map_in_processes(_run_chunk, tasks, jobs=jobs):
         merge_metrics(metrics)
-        for index, payload in chunk_results:
-            by_index[index] = _result_from_payload(payload)
+        by_index.update(chunk_results)
     counter("fuzz.parallel_chunks", len(chunks))
-    return [by_index[i] for i in indices]
+    return [by_index[i] for i in range(runs)]
 
 
-def _case_payload(case: FuzzCase) -> tuple:
-    return (
-        case.program_src, case.kind, case.spec, case.lead, case.params,
-        case.claim_legal, case.note, case.backends, case.service,
-        case.symbolic, case.unsound,
-    )
-
-
-def _case_from_payload(p: tuple) -> FuzzCase:
-    return FuzzCase(
-        program_src=p[0], kind=p[1], spec=p[2], lead=p[3],
-        params=tuple(tuple(x) for x in p[4]), claim_legal=p[5], note=p[6],
-        backends=tuple(p[7]), service=p[8] if len(p) > 8 else "",
-        symbolic=bool(p[9]) if len(p) > 9 else False,
-        unsound=bool(p[10]) if len(p) > 10 else False,
-    )
-
-
-def _result_payload(r: CaseResult) -> tuple:
-    return (_case_payload(r.case), r.verdict, r.detail, r.legal)
-
-
-def _result_from_payload(p: tuple) -> CaseResult:
-    return CaseResult(
-        case=_case_from_payload(p[0]), verdict=p[1], detail=p[2], legal=p[3]
-    )
-
-
-def _run_chunk(task: tuple) -> tuple[list[tuple[int, tuple]], dict]:
+def _run_chunk(task: tuple) -> tuple[list[tuple[int, CaseResult]], dict]:
     """Process-pool worker: run one hand of case indices.
 
-    Returns ``(results, metrics_payload)`` where results carry only
-    picklable payloads (the oracle report dicts stay worker-side) and
-    the metrics payload bundles counter/gauge/histogram deltas for the
-    parent to merge."""
-    task = tuple(task)
-    if len(task) == 5:
-        task = (*task, "", False)
-    elif len(task) == 6:
-        task = (*task, False)
-    seed, indices, inject_items, strict_illegal, backends, service, symbolic = task
-    inject = {i: _case_from_payload(p) for i, p in inject_items}
-    out: list[tuple[int, tuple]] = []
+    Returns ``(results, metrics_payload)``: the results drop their
+    oracle reports (those stay worker-side), and the metrics payload
+    bundles counter/gauge/histogram deltas for the parent to merge."""
+    seed, indices, inject, strict_illegal, backends, service, symbolic = task
+    out: list[tuple[int, CaseResult]] = []
     with capture_counters() as cap:
         for index in indices:
-            case = _case_at(
-                seed, index, inject, tuple(backends), service, symbolic
-            )
+            case = _case_at(seed, index, inject, backends, service, symbolic)
             result = run_case(case, strict_illegal=strict_illegal)
-            out.append((index, _result_payload(result)))
+            out.append((index, replace(result, oracle=None)))
     return out, cap.metrics

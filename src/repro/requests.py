@@ -33,7 +33,6 @@ class AnalyzeRequest:
     program: str
     refine: bool = False
     sample_params: tuple[str, ...] = ()
-    jobs: int | None = None
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,18 @@
-"""Fan-out helpers for the parallel pipeline paths (``--jobs N``).
+"""Process fan-out for ``repro fuzz --jobs N``.
 
-:func:`map_in_processes` is CPU-bound fan-out across *processes* with a
-picklable task encoding.  :func:`repro.dependence.analyze.analyze_dependences`
-uses it to split its statement-pair × depth case matrix and
-:func:`repro.fuzz.runner.fuzz_run` to spread its cases.  Each worker
-process captures its observability counters and returns them alongside
-the results so the parent can merge the deltas (spans stay parent-side;
-counters stay exact).
+:func:`repro.fuzz.runner.fuzz_run` deals its case indices into hands
+(:func:`chunk_round_robin`) and runs each hand in a worker process
+(:func:`map_in_processes`).  Each worker measures its observability
+metrics with :class:`capture_counters` and returns them alongside its
+results, and the parent merges them (:func:`merge_metrics`): spans stay
+parent-side, counters, gauges and histogram buckets stay exact.
 
-It falls back to plain serial iteration when ``jobs`` resolves to 1,
-when the task list is too small to amortize pool startup, or when a
-pool cannot be created at all (restricted environments); results are
-always returned in task order, so parallel output is bit-identical to
-serial output.  There is no thread fan-out: the per-candidate work is
-pure Python under the GIL and measured no faster on two threads
-(docs/PERFORMANCE.md).
+Results always come back in task order, so a parallel run is
+bit-identical to a serial one.  The map runs serially when one worker
+would do, and falls back to serial only when a pool cannot be created
+at all (restricted environments); a task that raises is never re-run.
+There is no thread fan-out: the per-case work is pure Python under the
+GIL.
 """
 
 from __future__ import annotations
@@ -32,15 +30,11 @@ __all__ = [
     "chunk_round_robin",
     "map_in_processes",
     "capture_counters",
-    "merge_counters",
     "merge_metrics",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Below this many tasks a pool costs more than it saves.
-MIN_TASKS_FOR_POOL = 2
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -66,40 +60,27 @@ class capture_counters:
     """Context manager that measures the obs-metric delta of its body.
 
     Works whether or not a session is already installed (a private,
-    sink-less session is installed if needed).  After exit:
+    sink-less session is installed if needed).  After exit ``.metrics``
+    holds one picklable payload for :func:`merge_metrics`:
 
-    * ``.delta`` — the counter delta (kept under this name for
-      backwards compatibility with older worker payloads);
-    * ``.gauges`` — gauges written or changed inside the body
+    * ``"counters"`` — the counter delta;
+    * ``"gauges"`` — gauges written or changed inside the body
       (last-write-wins, like gauges themselves: when several workers
       set the same gauge the merge order decides, exactly as serial
       execution order would);
-    * ``.histograms`` — bucket-wise histogram deltas, serialized with
-      :meth:`Histogram.to_dict` so they pickle across processes;
-    * ``.metrics`` — the three bundled into one picklable payload for
-      :func:`merge_metrics`.
+    * ``"histograms"`` — bucket-wise histogram deltas, serialized with
+      :meth:`Histogram.to_dict`.
 
-    Workers use this to ship their metrics back to the parent process;
-    merging every worker's payload makes a ``--jobs`` run report the
-    same counters, gauges and histogram buckets as a serial run.
+    Merging every worker's payload makes a ``fuzz --jobs`` run report
+    the same counters, gauges and histogram buckets as a serial run.
     """
 
     def __init__(self):
-        self.delta: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, dict] = {}
+        self.metrics: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         self._installed = False
         self._before: dict[str, int] = {}
         self._before_gauges: dict[str, float] = {}
         self._before_hists: dict = {}
-
-    @property
-    def metrics(self) -> dict:
-        return {
-            "counters": self.delta,
-            "gauges": self.gauges,
-            "histograms": self.histograms,
-        }
 
     def __enter__(self) -> "capture_counters":
         if current_session() is None:
@@ -114,27 +95,19 @@ class capture_counters:
     def __exit__(self, exc_type, exc, tb) -> bool:
         after, after_gauges = snapshot()
         before = self._before
-        self.delta = {
-            k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)
-        }
-        self.gauges = {
-            k: v
-            for k, v in after_gauges.items()
-            if k not in self._before_gauges or self._before_gauges[k] != v
-        }
-        self.histograms = {}
+        histograms = {}
         for name, h in snapshot_histograms().items():
             prev = self._before_hists.get(name)
             if prev is None:
                 if h.count:
-                    self.histograms[name] = h.to_dict()
+                    histograms[name] = h.to_dict()
                 continue
             if h.count == prev.count:
                 continue
             # bucket-wise subtraction; ``max`` keeps the after-value (the
             # worker path always starts from a fresh session, where this
             # is exact)
-            diff = {
+            histograms[name] = {
                 "count": h.count - prev.count,
                 "total": h.total - prev.total,
                 "max": h.max,
@@ -144,17 +117,21 @@ class capture_counters:
                     if n != prev.buckets.get(k, 0)
                 },
             }
-            self.histograms[name] = diff
+        self.metrics = {
+            "counters": {
+                k: v - before.get(k, 0)
+                for k, v in after.items() if v != before.get(k, 0)
+            },
+            "gauges": {
+                k: v
+                for k, v in after_gauges.items()
+                if k not in self._before_gauges or self._before_gauges[k] != v
+            },
+            "histograms": histograms,
+        }
         if self._installed:
             uninstall()
         return False
-
-
-def merge_counters(delta: dict[str, int]) -> None:
-    """Add a worker's counter delta into the current session (no-op when
-    observability is off)."""
-    for name, n in delta.items():
-        counter(name, n)
 
 
 def merge_metrics(payload: dict) -> None:
@@ -164,7 +141,8 @@ def merge_metrics(payload: dict) -> None:
     sess = current_session()
     if sess is None:
         return
-    merge_counters(payload.get("counters", {}))
+    for name, n in payload.get("counters", {}).items():
+        counter(name, n)
     for name, value in payload.get("gauges", {}).items():
         gauge(name, value)
     if payload.get("histograms"):
@@ -182,21 +160,25 @@ def map_in_processes(
     tasks: Sequence[T],
     *,
     jobs: int,
-    min_tasks: int = MIN_TASKS_FOR_POOL,
 ) -> list[R]:
-    """Apply a picklable ``fn`` to picklable ``tasks`` across a process
-    pool; results come back in task order.  Serial fallback when the
-    fan-out would not pay for itself or a pool is unavailable."""
+    """Apply a picklable ``fn`` to picklable ``tasks`` across ``jobs``
+    worker processes; results come back in task order.
+
+    Serial when one worker would do.  Only a pool that cannot be created
+    (no working semaphores in a sandbox, no ``_multiprocessing``) falls
+    back to the serial loop, counted by ``parallel.process_pool_fallbacks``.
+    A task's own exception, or a worker that dies (``BrokenProcessPool``),
+    propagates once: nothing is re-run.
+    """
     jobs = min(jobs, len(tasks))
-    if jobs <= 1 or len(tasks) < min_tasks:
+    if jobs <= 1:
         return [fn(t) for t in tasks]
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    except Exception:
-        # pool creation or pickling failed (sandboxed env, nested pools,
-        # unpicklable payload): the serial path is always correct.
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    except (ImportError, NotImplementedError, OSError):
         counter("parallel.process_pool_fallbacks")
         return [fn(t) for t in tasks]
+    with pool:
+        return list(pool.map(fn, tasks))

@@ -1,22 +1,15 @@
-"""The --jobs fan-out: helper semantics, bit-identical parallel
-dependence analysis, the search's shared read-only snapshot, and CLI
-plumbing."""
+"""The ``fuzz --jobs`` fan-out: helper semantics, failure handling,
+worker-metric merging, and serial == parallel fuzz runs."""
 
 import os
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.cli import main
-from repro.dependence import analyze_dependences
-from repro.interp.executor import ArrayStore, execute
-from repro.kernels import cholesky, simplified_cholesky
 from repro.polyhedra import engine
 from repro.util.parallel_exec import (
-    capture_counters, chunk_round_robin, map_in_processes, merge_counters,
-    merge_metrics, resolve_jobs,
+    capture_counters, chunk_round_robin, map_in_processes, merge_metrics,
+    resolve_jobs,
 )
 
 
@@ -25,6 +18,17 @@ from repro.util.parallel_exec import (
 
 def _square(x):  # top-level: must be picklable for the process pool
     return x * x
+
+
+def _log_then_fail_on_3(task):
+    """Append the task's index to a shared log file, then raise on task 3:
+    the log counts calls across worker processes."""
+    log, index = task
+    with open(log, "a") as f:
+        f.write(f"{index}\n")
+    if index == 3:
+        raise ValueError(f"task {index} failed")
+    return index
 
 
 class TestResolveJobs:
@@ -62,12 +66,36 @@ class TestMaps:
         assert map_in_processes(_square, [3], jobs=8) == [9]
 
 
+class TestFailures:
+    def test_raising_task_runs_once_and_propagates(self, tmp_path):
+        log = tmp_path / "calls"
+        tasks = [(str(log), i) for i in range(6)]
+        with obs.session() as sess:
+            with pytest.raises(ValueError, match="task 3 failed"):
+                map_in_processes(_log_then_fail_on_3, tasks, jobs=2)
+        calls = log.read_text().split()
+        assert "3" in calls
+        assert len(calls) == len(set(calls)), calls  # no task ran twice
+        assert "parallel.process_pool_fallbacks" not in sess.counters
+
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with obs.session() as sess:
+            assert map_in_processes(_square, [1, 2, 3], jobs=2) == [1, 4, 9]
+        assert sess.counters["parallel.process_pool_fallbacks"] == 1
+
+
 class TestCaptureCounters:
     def test_without_outer_session(self):
         assert obs.current_session() is None
         with capture_counters() as cap:
             obs.counter("t.example", 3)
-        assert cap.delta == {"t.example": 3}
+        assert cap.metrics["counters"] == {"t.example": 3}
         assert obs.current_session() is None
 
     def test_with_outer_session_reports_delta_only(self):
@@ -75,8 +103,8 @@ class TestCaptureCounters:
             obs.counter("t.example", 5)
             with capture_counters() as cap:
                 obs.counter("t.example", 2)
-            assert cap.delta == {"t.example": 2}
-            merge_counters(cap.delta)
+            assert cap.metrics["counters"] == {"t.example": 2}
+            merge_metrics(cap.metrics)
             assert sess.counters["t.example"] == 9  # 5 + 2 + merged 2
 
 
@@ -193,84 +221,3 @@ class TestFuzzJobsMetricsParity:
 
         assert picked(s1.counters)["dependence.pairs_tested"] > 0
         assert picked(s2.counters) == picked(s1.counters)
-
-
-# -- dependence analysis fan-out -------------------------------------------
-
-
-class TestParallelDependences:
-    @pytest.mark.parametrize("kernel", [simplified_cholesky, cholesky])
-    def test_bit_identical_to_serial(self, kernel):
-        program = kernel()
-        serial = analyze_dependences(program)
-        engine.cache_clear()  # or the memo answers and no worker runs
-        parallel = analyze_dependences(program, jobs=2)
-        assert parallel.to_str() == serial.to_str()
-        assert parallel.summary() == serial.summary()
-        assert [str(d) for d in parallel] == [str(d) for d in serial]
-
-    def test_worker_counters_are_merged(self):
-        program = cholesky()
-        with engine.cache_disabled():  # both runs must do the analysis
-            with obs.session() as s1:
-                analyze_dependences(program)
-            with obs.session() as s2:
-                analyze_dependences(program, jobs=2)
-        for name in ("dependence.pairs_tested", "dependence.cases_tested",
-                     "dependence.vectors"):
-            assert s1.counters[name] > 0, name
-            assert s2.counters.get(name) == s1.counters.get(name), name
-
-
-# -- threaded search --------------------------------------------------------
-
-
-class TestThreadedSearch:
-    """The loop-order search is serial; what remains is the invariant its
-    variants rely on: one shared, read-only initial-state snapshot."""
-
-    def test_base_snapshot_not_mutated(self):
-        """The shared initial-state snapshot must survive a search
-        untouched — execute() copies it into a fresh store per variant."""
-        program = simplified_cholesky()
-        store = ArrayStore(program, {"N": 8})
-        base = store.snapshot()
-        frozen = {k: v.copy() for k, v in base.items()}
-        for arr in base.values():
-            arr.setflags(write=False)
-        out, _ = execute(program, {"N": 8}, arrays=base)
-        for name in base:
-            np.testing.assert_array_equal(base[name], frozen[name])
-        # the run itself must have written *somewhere* (to its own copy)
-        assert any(
-            not np.array_equal(out.arrays[n], base[n]) for n in base
-        )
-
-    def test_readonly_base_rejects_writes(self):
-        program = simplified_cholesky()
-        base = ArrayStore(program, {"N": 8}).snapshot()
-        for arr in base.values():
-            arr.setflags(write=False)
-        name = next(iter(base))
-        with pytest.raises(ValueError):
-            base[name][(0,) * base[name].ndim] = 1.0
-
-
-# -- CLI plumbing -----------------------------------------------------------
-
-
-QUICKSTART = str(Path(__file__).resolve().parents[2] / "examples" / "quickstart.loop")
-
-
-class TestCliJobs:
-    def test_deps_jobs_flag(self, capsys):
-        assert main(["deps", QUICKSTART, "--jobs", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert main(["deps", QUICKSTART]) == 0
-        assert capsys.readouterr().out == parallel_out
-
-    def test_report_jobs_flag(self, capsys):
-        assert main(["report", QUICKSTART, "-j", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "loop-order search" in out
-        assert "fm.cache_hits" in out

@@ -205,18 +205,6 @@ class TestKey:
         analyze_dependences(simplified_cholesky())
         assert _lookups(counters) == (1, 1)
 
-    def test_jobs_does_not_separate_entries(self, counters):
-        program = cholesky()
-        serial = analyze_dependences(program)
-        parallel = analyze_dependences(program, jobs=2)
-        assert _lookups(counters) == (1, 1)
-        assert parallel.deps == serial.deps
-        # and an analysis computed by the pool serves serial callers
-        engine.cache_clear()
-        pooled = analyze_dependences(program, jobs=2)
-        assert analyze_dependences(program).deps == pooled.deps == serial.deps
-        assert _lookups(counters) == (2, 2)
-
     def test_a_different_program_misses(self, counters):
         analyze_dependences(simplified_cholesky())
         analyze_dependences(cholesky())

@@ -23,7 +23,7 @@ def wire_roundtrip(req):
 
 def test_every_request_type_roundtrips():
     samples = {
-        "analyze": dict(program=SRC, refine=True, sample_params=("N=4",), jobs=2),
+        "analyze": dict(program=SRC, refine=True, sample_params=("N=4",)),
         "check": dict(program=SRC, spec="reverse(I)"),
         "transform": dict(program=SRC, spec="skew(I,I,0)", simplify=True),
         "complete": dict(program=SRC, lead="I"),
@@ -121,7 +121,7 @@ ILL_TYPED = [
     ("run", {"program": SRC, "params": [1, 2]}, "params"),
     ("check", {"program": SRC, "spec": None}, "spec"),
     ("check", {"program": SRC, "spec": ["a"]}, "spec"),
-    ("analyze", {"program": SRC, "jobs": "x"}, "jobs"),
+    ("analyze", {"program": SRC, "refine": "yes"}, "refine"),
     ("analyze", {"program": SRC, "sample_params": "N=5"}, "sample_params"),
     ("tune", {"program": SRC, "top_k": "3"}, "top_k"),
     ("tune", {"program": SRC, "force": 1}, "force"),
@@ -164,6 +164,23 @@ def test_run_request_with_par_jobs_is_refused(service, submitted):
     assert not resp.ok and resp.error_kind == "ServiceError"
     assert "par_jobs" in resp.error and "unknown argument" in resp.error
     with pytest.raises(ServiceError, match="par_jobs"):
+        resp.unwrap()
+    assert service.jobs.snapshot()["jobs"] == 0
+
+
+@pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
+def test_analyze_request_with_jobs_is_refused(service, submitted):
+    """Dependence analysis runs in the serving process, so ``analyze``
+    has no worker-count field: a client still sending one is told which
+    argument is unknown."""
+    args = {"program": SRC, "jobs": 2}
+    wire = {"protocol": PROTOCOL_VERSION, "op": "analyze", "args": args}
+    if submitted:
+        wire["op"], wire["args"] = "submit", {"submit_op": "analyze", "args": args}
+    resp = service.handle(wire)
+    assert not resp.ok and resp.error_kind == "ServiceError"
+    assert "jobs" in resp.error and "unknown argument" in resp.error
+    with pytest.raises(ServiceError, match="jobs"):
         resp.unwrap()
     assert service.jobs.snapshot()["jobs"] == 0
 

@@ -4,8 +4,9 @@ superseded by the ledger (``compare.py``, ``emit.py``,
 ``BENCH_result.json``, the opt-in benchmark environment switches) or the
 ``source-par`` worker pool (its module, dispatcher, flag, environment
 variables and explain phase), the ``transform`` flag that asked for
-simplified output, which is now the only output, or the explain-only
-restructuring completion search."""
+simplified output, which is now the only output, the explain-only
+restructuring completion search, or the process pool that spread
+dependence analysis over conflicting pairs."""
 
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ DELETED = (
     "REPRO_" "PAR_JOBS", "REPRO_" "PAR_MIN_FRONT", "--par" "-jobs", "_wf" "_dispatch",
     "backend/wavefront.py", "--phase wavefront", "--simp" "lify",
     "complete_with_" "restructuring", "completion.enabling",
+    "_MIN_PAIRS" "_FOR_POOL", "_analyze_pairs" "_task",
 )
 
 

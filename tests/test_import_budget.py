@@ -27,7 +27,7 @@ CHOLESKY = "examples/cholesky.loop"
 FORBIDDEN = (
     "numpy", "multiprocessing", "concurrent.futures",
     "repro.interp.executor", "repro.backend.lower", "repro.tune",
-    "repro.service", "repro.fuzz", "repro.symbolic",
+    "repro.service", "repro.fuzz", "repro.symbolic", "repro.util.parallel_exec",
 )
 MAX_MODULES = 220
 
