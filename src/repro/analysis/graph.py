@@ -26,6 +26,7 @@ from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import Layout, Path
 from repro.ir.ast import Loop, Program
+from repro.legality.check import surely_carried
 from repro.util.errors import TransformError
 
 __all__ = [
@@ -122,7 +123,7 @@ def dependence_graph(
         if at_loop is not None:
             if not (_inside(layout, d.src, at_loop) and _inside(layout, d.dst, at_loop)):
                 continue
-            if _definitely_carried(d, outer_positions):
+            if surely_carried(d.project(outer_positions)):
                 continue
         g.add_edge(d.src, d.dst).append(d)
     return g
@@ -131,16 +132,6 @@ def dependence_graph(
 def _inside(layout: Layout, label: str, path: Path) -> bool:
     sp = layout.statement_path(label)
     return sp[: len(path)] == path and len(sp) > len(path)
-
-
-def _definitely_carried(d, outer_positions: list[int]) -> bool:
-    for i in outer_positions:
-        e = d.entries[i]
-        if e.definitely_positive():
-            return True
-        if not e.is_zero():
-            return False
-    return False
 
 
 def distribution_plan(

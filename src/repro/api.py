@@ -24,16 +24,11 @@ the single implementation both call:
   ``*_op`` function — and :func:`execute`, the one call that maps
   request fields onto that function for the local CLI and the daemon
   alike.
-
-Canonical program identity (:func:`canonical_text`, :func:`program_key`)
-also lives here: the service shards its warm caches per program by this
-key (docs/SERVICE.md).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -57,7 +52,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "load_file", "load_flexible", "parse_params", "resolve_run_params",
-    "canonical_text", "program_key",
     "AnalyzeResult", "CheckResult", "TransformResult", "CompleteResult",
     "RunResult", "TuneOutcome", "ExplainResult",
     "EXPLAIN_PHASES",
@@ -140,22 +134,6 @@ def resolve_run_params(
     if not params and default is not None:
         params = {p: default for p in program.params}
     return params
-
-
-def canonical_text(program: Program | str) -> str:
-    """Canonical program text: one parse→print round trip lands every
-    representation of the same program on the parser's normal form, so
-    equal programs always share identity (and a service cache shard)."""
-    text = program if isinstance(program, str) else program_to_str(program)
-    try:
-        return program_to_str(parse_program(text, "canonical"))
-    except Exception:
-        return text
-
-
-def program_key(program: Program | str) -> str:
-    """SHA-256 of the canonical program text — the service's shard key."""
-    return hashlib.sha256(canonical_text(program).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

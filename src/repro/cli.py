@@ -712,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="TCP port (default 7521; 0 picks a free port)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="max warm program shards before LRU eviction "
-                   "(default 64, or $REPRO_SERVICE_SHARDS)")
+                   "(default 64)")
     p.add_argument("--job-workers", type=int, default=2, metavar="N",
                    help="async job-queue worker threads (default 2)")
     p.add_argument("--trace-json", metavar="PATH",

@@ -29,7 +29,7 @@ from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix, DepVector
 from repro.dependence.entry import zip_dot
 from repro.instance.layout import EdgeCoord, Layout, LoopCoord, Path
-from repro.ir.ast import Loop, Node, Program, Statement
+from repro.ir.ast import Loop, Program, Statement
 from repro.legality.check import lex_scan
 from repro.linalg.intmat import IntMatrix
 from repro.obs import counter, event, timed
@@ -83,13 +83,6 @@ def complete_transformation(
 
     dep_list = list(deps)
 
-    def children_of(path: Path) -> tuple[Node, ...]:
-        if not path:
-            return program.body
-        node = layout.node_at(path)
-        assert isinstance(node, Loop)
-        return node.body
-
     rows: list[tuple[int, ...]] = []
     child_order: dict[Path, list[int]] = {}
     used_loop_cols: set[int] = set()
@@ -136,7 +129,7 @@ def complete_transformation(
 
         # -- 1. loop label row -------------------------------------------
         def after_label(pending2: frozenset[int]) -> bool:
-            children = children_of(path)
+            children = layout.children_of(path)
             c = len(children)
             # -- 2. child permutation + edge rows --------------------------
             # forced edges from partial rows?

@@ -13,9 +13,7 @@ if TYPE_CHECKING:
     )
     from repro.dependence.depvector import DepKind, DependenceMatrix, DepVector
     from repro.dependence.entry import NEG_INF, POS_INF, DepEntry
-    from repro.dependence.refine import (
-        ground_truth_kinded, observed_hulls, refine_dependences,
-    )
+    from repro.dependence.refine import observed_hulls, refine_dependences
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.dependence.analyze": (
@@ -27,7 +25,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.dependence.depvector": ("DepKind", "DependenceMatrix", "DepVector"),
     "repro.dependence.entry": ("NEG_INF", "POS_INF", "DepEntry"),
-    "repro.dependence.refine": (
-        "ground_truth_kinded", "observed_hulls", "refine_dependences",
-    ),
+    "repro.dependence.refine": ("observed_hulls", "refine_dependences"),
 })

@@ -169,6 +169,9 @@ def analyze_dependences(
         eng = _engine.active()
         if eng is None:
             return _analyze(program, layout, assume)
+        # the structural key, not the canonical text (repro.ir.program_key):
+        # the memo is in-process only, and hashing the frozen IR costs a
+        # few microseconds against 0.1-0.2 ms for a parse→print
         key = (
             program.body, program.params, program.arrays,
             layout.optimize_single_edges, assume.canonical_key(),

@@ -21,41 +21,16 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Mapping, Sequence
 
-from repro.dependence.depvector import DependenceMatrix, DepKind, DepVector
+from repro.dependence.depvector import DependenceMatrix, DepVector
 from repro.dependence.entry import NEG_INF, POS_INF, DepEntry
 from repro.instance.layout import Layout
 from repro.instance.vectors import DynamicInstance, instance_vector
-from repro.interp.executor import Trace, execute
+from repro.interp.equivalence import ground_truth_kinded
+from repro.interp.executor import execute
 from repro.ir.ast import Program
 from repro.obs import timed
 
-__all__ = ["ground_truth_kinded", "observed_hulls", "refine_dependences"]
-
-
-def ground_truth_kinded(t: Trace) -> list[tuple[int, int, str]]:
-    """Value-based dependences of a trace, with kinds.
-
-    flow: last write of a cell → each subsequent read (until rewritten);
-    anti: each read → the next write of the cell;
-    output: consecutive writes of the cell.
-    """
-    last_write: dict[tuple, int] = {}
-    readers: dict[tuple, list[int]] = defaultdict(list)
-    deps: list[tuple[int, int, str]] = []
-    for pos, rec in enumerate(t.records):
-        for cell in {(a, i) for a, i in rec.reads}:
-            if cell in last_write:
-                deps.append((last_write[cell], pos, DepKind.FLOW))
-            readers[cell].append(pos)
-        for cell in {(a, i) for a, i in rec.writes}:
-            if cell in last_write:
-                deps.append((last_write[cell], pos, DepKind.OUTPUT))
-            for rd in readers[cell]:
-                if rd != pos:
-                    deps.append((rd, pos, DepKind.ANTI))
-            readers[cell] = []
-            last_write[cell] = pos
-    return sorted(set(deps))
+__all__ = ["observed_hulls", "refine_dependences"]
 
 
 def observed_diffs(

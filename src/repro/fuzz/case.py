@@ -17,7 +17,7 @@ end-to-end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.codegen import generate_code
 from repro.completion import complete_transformation
@@ -105,7 +105,6 @@ class CaseResult:
     verdict: str
     detail: str = ""
     legal: bool | None = None
-    oracle: dict | None = field(default=None, repr=False)
 
     @property
     def divergent(self) -> bool:
@@ -278,7 +277,7 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
                 counter("fuzz.divergences")
                 return CaseResult(
                     case, "divergence-backend", f"generated program: {detail}",
-                    legal=legal, oracle=rep,
+                    legal=legal,
                 )
         if rep["ok"]:
             if legal:
@@ -286,7 +285,7 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
                 if detail is not None:
                     counter("fuzz.divergences")
                     return CaseResult(
-                        case, "divergence-derived", detail, legal=True, oracle=rep
+                        case, "divergence-derived", detail, legal=True
                     )
                 detail = _doall_divergence(
                     work_program, work_layout, matrix, work_deps, report, g,
@@ -295,18 +294,18 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
                 if detail is not None:
                     counter("fuzz.divergences")
                     return CaseResult(
-                        case, "divergence-doall", detail, legal=True, oracle=rep
+                        case, "divergence-doall", detail, legal=True
                     )
-                return CaseResult(case, "pass-legal", legal=True, oracle=rep)
+                return CaseResult(case, "pass-legal", legal=True)
             counter("fuzz.illegal_unconfirmed")
             return CaseResult(
                 case, "illegal-unconfirmed",
                 "claimed-legal case is equivalent on this input",
-                legal=False, oracle=rep,
+                legal=False,
             )
         counter("fuzz.divergences")
         return CaseResult(
-            case, "divergence-oracle", _oracle_detail(rep), legal=legal, oracle=rep
+            case, "divergence-oracle", _oracle_detail(rep), legal=legal
         )
 
     # -- side 2: rejected transformations, forced, should be flagged ----
@@ -330,7 +329,7 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
     if not rep["ok"]:
         counter("fuzz.illegal_confirmed")
         return CaseResult(
-            case, "illegal-confirmed", _oracle_detail(rep), legal=False, oracle=rep
+            case, "illegal-confirmed", _oracle_detail(rep), legal=False
         )
     counter("fuzz.illegal_unconfirmed")
     if strict_illegal:
@@ -338,12 +337,12 @@ def _run_case_inner(case: FuzzCase, strict_illegal: bool) -> CaseResult:
         return CaseResult(
             case, "divergence-oracle",
             "legality rejected but all oracles pass (strict-illegal mode)",
-            legal=False, oracle=rep,
+            legal=False,
         )
     return CaseResult(
         case, "illegal-unconfirmed",
         "rejected transformation is equivalent on this input (precision gap)",
-        legal=False, oracle=rep,
+        legal=False,
     )
 
 
@@ -407,24 +406,24 @@ def _judge_symbolic(case: FuzzCase, program, g, rep: dict) -> CaseResult | None:
                 case, "divergence-symbolic",
                 "fabricated certificate evaded the differential oracle "
                 f"({summary})",
-                legal=False, oracle=rep,
+                legal=False,
             )
         counter("fuzz.unsound_caught")
         return CaseResult(
             case, "unsound-caught",
             f"fabricated certificate contradicted by execution: {why}",
-            legal=False, oracle=rep,
+            legal=False,
         )
     if equivalent:
         counter("fuzz.symbolic_rescues")
         return CaseResult(
-            case, "symbolic-legal", summary, legal=False, oracle=rep,
+            case, "symbolic-legal", summary, legal=False,
         )
     counter("fuzz.divergences")
     return CaseResult(
         case, "divergence-symbolic",
         f"certificate contradicted by execution: {why} ({summary})",
-        legal=False, oracle=rep,
+        legal=False,
     )
 
 

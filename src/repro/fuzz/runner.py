@@ -5,18 +5,17 @@
 whose only user this is): the case indices are dealt into hands, and
 each worker re-derives its sampled cases from ``(master_seed, index)``.
 Only injected cases travel to the workers; results come back as
-:class:`CaseResult` objects without their oracle reports
-(``oracle=None``), together with each worker's observability-metric
-delta, and are re-assembled in index order so a parallel run is
-bit-identical to a serial one.  Divergence *shrinking* and corpus
-*writing* stay in the parent process, serially, in index order: the
-corpus a run produces is deterministic in ``(seed, runs)`` regardless of
-``--jobs``.
+:class:`CaseResult` objects, together with each worker's
+observability-metric delta, and are re-assembled in index order so a
+parallel run is bit-identical to a serial one.  Divergence *shrinking*
+and corpus *writing* stay in the parent process, serially, in index
+order: the corpus a run produces is deterministic in ``(seed, runs)``
+regardless of ``--jobs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -208,14 +207,12 @@ def _run_all(
 def _run_chunk(task: tuple) -> tuple[list[tuple[int, CaseResult]], dict]:
     """Process-pool worker: run one hand of case indices.
 
-    Returns ``(results, metrics_payload)``: the results drop their
-    oracle reports (those stay worker-side), and the metrics payload
-    bundles counter/gauge/histogram deltas for the parent to merge."""
+    Returns ``(results, metrics_payload)``: the metrics payload bundles
+    counter/gauge/histogram deltas for the parent to merge."""
     seed, indices, inject, strict_illegal, backends, service, symbolic = task
     out: list[tuple[int, CaseResult]] = []
     with capture_counters() as cap:
         for index in indices:
             case = _case_at(seed, index, inject, backends, service, symbolic)
-            result = run_case(case, strict_illegal=strict_illegal)
-            out.append((index, replace(result, oracle=None)))
+            out.append((index, run_case(case, strict_illegal=strict_illegal)))
     return out, cap.metrics

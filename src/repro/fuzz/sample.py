@@ -31,11 +31,10 @@ import random
 from repro.fuzz.case import FuzzCase
 from repro.instance import Layout
 from repro.ir import program_to_str
-from repro.ir.ast import Loop
 from repro.kernels import random_program
 from repro.transform.spec import parse_spec
 from repro.transform.tiling import (
-    fuse, fuse_site_offset, loop_path_by_var, strip_mine,
+    fuse, fuse_sites, loop_path_by_var, strip_mine,
 )
 from repro.util.errors import ReproError
 
@@ -205,7 +204,7 @@ def _sample_structural(rng: random.Random, layout: Layout, program):
     loops = [c.var for c in layout.loop_coords()]
     if not loops:
         return None
-    fusable = _fuse_vars(program)
+    fusable = [layout.node_at(path).var for path in fuse_sites(program)]
     if rng.random() < 0.7 or not fusable:
         var = rng.choice(loops)
         size = rng.choice(_TILE_SIZES)
@@ -215,23 +214,6 @@ def _sample_structural(rng: random.Random, layout: Layout, program):
         )
     var = rng.choice(fusable)
     return f"fuse({var})", lambda p: fuse(p, loop_path_by_var(p, var))
-
-
-def _fuse_vars(program) -> list[str]:
-    """Variables of loops followed by a sibling they can fuse with."""
-    out: list[str] = []
-
-    def walk(body) -> None:
-        for i, node in enumerate(body):
-            if not isinstance(node, Loop):
-                continue
-            nxt = body[i + 1] if i + 1 < len(body) else None
-            if isinstance(nxt, Loop) and fuse_site_offset(node, nxt) is not None:
-                out.append(node.var)
-            walk(node.body)
-
-    walk(program.body)
-    return out
 
 
 def _sample_op(rng: random.Random, loops: list[str], labels: list[str]) -> str | None:

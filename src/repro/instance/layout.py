@@ -126,6 +126,15 @@ class Layout:
         except KeyError:
             raise LayoutError(f"no node at path {path}") from None
 
+    def children_of(self, path: Path) -> tuple[Node, ...]:
+        """The children of the loop at ``path``; for the virtual root
+        ``()``, the program's top-level body."""
+        if not path:
+            return self.program.body
+        node = self.node_at(path)
+        assert isinstance(node, Loop)
+        return node.body
+
     def statement_path(self, label: str) -> Path:
         try:
             return self._stmt_paths[label]

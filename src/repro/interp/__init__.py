@@ -9,7 +9,7 @@ if TYPE_CHECKING:
         CacheConfig, CacheStats, program_addresses, simulate_cache, trace_addresses,
     )
     from repro.interp.equivalence import (
-        check_equivalence, dependences_preserved, ground_truth_dependences,
+        check_equivalence, dependences_preserved, ground_truth_kinded,
         outputs_close, same_instances,
     )
     from repro.interp.executor import ArrayStore, ExecRecord, Trace, default_init, execute
@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.interp.equivalence": (
         "check_equivalence", "dependences_preserved",
-        "ground_truth_dependences", "outputs_close", "same_instances",
+        "ground_truth_kinded", "outputs_close", "same_instances",
     ),
     "repro.interp.executor": (
         "ArrayStore", "ExecRecord", "Trace", "default_init", "execute",

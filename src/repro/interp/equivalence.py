@@ -30,6 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.dependence.depvector import DepKind
 from repro.interp.executor import ArrayStore, Trace, execute
 from repro.ir.ast import Program
 from repro.obs import timed
@@ -39,7 +40,7 @@ __all__ = [
     "dependences_preserved",
     "outputs_close",
     "check_equivalence",
-    "ground_truth_dependences",
+    "ground_truth_kinded",
     "instance_keys",
 ]
 
@@ -64,23 +65,29 @@ def same_instances(keys1: list[tuple], keys2: list[tuple]) -> bool:
     return Counter(keys1) == Counter(keys2)
 
 
-def ground_truth_dependences(t: Trace) -> list[tuple[int, int]]:
-    """Pairs (i, j), i<j, of trace positions with a memory conflict
-    (same cell, at least one write) — the exact dependences of this run."""
+def ground_truth_kinded(t: Trace) -> list[tuple[int, int, str]]:
+    """Value-based dependences of a trace: triples ``(i, j, kind)``,
+    i<j, of trace positions with a memory conflict (same cell, at least
+    one write) — the exact dependences of this run.
+
+    flow: last write of a cell → each subsequent read (until rewritten);
+    anti: each read → the next write of the cell;
+    output: consecutive writes of the cell.
+    """
     last_write: dict[tuple[str, tuple[int, ...]], int] = {}
     readers: dict[tuple[str, tuple[int, ...]], list[int]] = defaultdict(list)
-    deps: list[tuple[int, int]] = []
+    deps: list[tuple[int, int, str]] = []
     for pos, rec in enumerate(t.records):
         for cell in {(a, i) for a, i in rec.reads}:
             if cell in last_write:
-                deps.append((last_write[cell], pos))  # flow
+                deps.append((last_write[cell], pos, DepKind.FLOW))
             readers[cell].append(pos)
         for cell in {(a, i) for a, i in rec.writes}:
             if cell in last_write:
-                deps.append((last_write[cell], pos))  # output
+                deps.append((last_write[cell], pos, DepKind.OUTPUT))
             for rd in readers[cell]:
                 if rd != pos:
-                    deps.append((rd, pos))  # anti
+                    deps.append((rd, pos, DepKind.ANTI))
             readers[cell] = []
             last_write[cell] = pos
     return sorted(set(deps))
@@ -96,7 +103,9 @@ def dependences_preserved(
     for i, key in enumerate(dst_keys):
         pos_in_dst.setdefault(key, i)
     violations = []
-    for a, b in ground_truth_dependences(src_trace):
+    # a pair conflicting in several kinds is one ordering constraint
+    pairs = dict.fromkeys((a, b) for a, b, _ in ground_truth_kinded(src_trace))
+    for a, b in pairs:
         ka, kb = src_keys[a], src_keys[b]
         if ka == kb:
             continue

@@ -9,7 +9,9 @@ from repro.ir.expr import (
     UnaryOp, VarRef, affine_to_expr, as_affine,
 )
 from repro.ir.builder import NestBuilder, nest
-from repro.ir.parser import parse_expr, parse_program
+from repro.ir.parser import (
+    canonical_text, canonicalize, parse_expr, parse_program, program_key,
+)
 from repro.ir.printer import node_to_str, program_to_str
 
 __all__ = [
@@ -18,5 +20,6 @@ __all__ = [
     "Expr", "IntLit", "FloatLit", "VarRef", "ArrayRef", "BinOp", "UnaryOp",
     "Call", "BUILTIN_FUNCTIONS", "as_affine", "affine_to_expr",
     "parse_program", "parse_expr", "program_to_str", "node_to_str",
+    "canonicalize", "canonical_text", "program_key",
     "nest", "NestBuilder",
 ]

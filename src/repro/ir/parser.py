@@ -25,6 +25,7 @@ programs round-trip through text (the tune cache depends on this).
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -33,11 +34,15 @@ from repro.ir.expr import (
     BUILTIN_FUNCTIONS, ArrayRef, BinOp, Call, Expr, FloatLit, IntLit, UnaryOp,
     VarRef, as_affine,
 )
+from repro.ir.printer import program_to_str
 from repro.obs import span
+from repro.polyhedra.affine import LinExpr
 from repro.polyhedra.bounds import Bound
-from repro.util.errors import ParseError
+from repro.util.errors import IRError, ParseError
 
-__all__ = ["parse_program", "parse_expr"]
+__all__ = [
+    "parse_program", "parse_expr", "canonicalize", "canonical_text", "program_key",
+]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -160,10 +165,10 @@ class _Parser:
         dims: list[tuple] = []
         self.expect("op", "(")
         while True:
-            first = as_affine(self.parse_expr())
+            first = self.parse_affine()
             if self.at("op", ":"):
                 self.next()
-                second = as_affine(self.parse_expr())
+                second = self.parse_affine()
                 dims.append((first, second))
             else:
                 dims.append((None, first))
@@ -242,15 +247,24 @@ class _Parser:
         if t.kind == "ident" and t.text == divname and self._lparen_follows():
             self.next()
             self.expect("op", "(")
-            e = self.parse_expr()
+            e = self.parse_affine()
             self.expect("op", ",")
             d = self.expect("int")
             self.expect("op", ")")
             div = int(d.text)
             if div < 1:
                 raise ParseError(f"{divname} divisor must be positive", t.line, t.col)
-            return Bound(as_affine(e), div, is_lower)
-        return Bound(as_affine(self.parse_expr()), 1, is_lower)
+            return Bound(e, div, is_lower)
+        return Bound(self.parse_affine(), 1, is_lower)
+
+    def parse_affine(self) -> LinExpr:
+        """An expression that must be affine (bounds, array extents); a
+        non-affine one is a syntax error at its first token."""
+        t = self.peek()
+        try:
+            return as_affine(self.parse_expr())
+        except IRError as exc:
+            raise ParseError(str(exc), t.line, t.col) from None
 
     def _lparen_follows(self) -> bool:
         nxt = self.toks[self.i + 1]
@@ -353,3 +367,35 @@ def parse_expr(src: str) -> Expr:
     p.skip_separators()
     p.expect("eof")
     return e
+
+
+def canonicalize(text: str, name: str = "canonical") -> tuple[Program, str]:
+    """Parse ``text`` once and print it back: the program and its
+    canonical text, the parser's normal form (comments, spacing and
+    redundant parentheses gone).  Printing a parsed program and parsing
+    that again changes nothing, so formatting variants of one program
+    share one canonical text.  Raises :class:`ParseError`."""
+    program = parse_program(text, name)
+    return program, program_to_str(program)
+
+
+def canonical_text(program: Program | str) -> str:
+    """The canonical text of a program or of its source.
+
+    A programmatically built or generated :class:`Program` goes through
+    its printed text, since the printer may spell it differently from
+    its reparse (``V + -1`` vs ``V + (-1)``).  Text the parser rejects
+    — a generated program's guards or nested ``max(min(...))`` bounds,
+    which only source programs promise to round-trip — is its own
+    canonical text."""
+    text = program if isinstance(program, str) else program_to_str(program)
+    try:
+        return canonicalize(text)[1]
+    except ParseError:
+        return text
+
+
+def program_key(text: str) -> str:
+    """SHA-256 of a canonical program text (:func:`canonicalize`,
+    :func:`canonical_text`): the program's identity."""
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -2,10 +2,11 @@
 
 from repro.legality.check import (
     DepStatus, LegalityReport, assert_legal, check, check_legality, lex_scan,
+    surely_carried,
 )
 from repro.legality.structure import NewStructure, recover_structure
 
 __all__ = [
     "check", "check_legality", "assert_legal", "LegalityReport", "DepStatus",
-    "lex_scan", "recover_structure", "NewStructure",
+    "lex_scan", "surely_carried", "recover_structure", "NewStructure",
 ]

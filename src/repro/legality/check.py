@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.symbolic import SymbolicOutcome
 
 __all__ = [
-    "LegalityReport", "DepStatus", "check_legality", "lex_scan",
+    "LegalityReport", "DepStatus", "check_legality", "lex_scan", "surely_carried",
     "common_projection", "assert_legal", "check",
 ]
 
@@ -124,6 +124,21 @@ def lex_scan(entries: Sequence[DepEntry]) -> tuple[str, tuple[int, ...]]:
         if e.definitely_negative():
             break
     return sign or "zero-or-positive", tuple(carriers)
+
+
+def surely_carried(entries: Sequence[DepEntry]) -> bool:
+    """Whether the outermost level that may carry the dependence carries
+    every instance of it: that entry is definitely positive and every
+    earlier one is zero.
+
+    Loop distribution and the level dependence graph ask this of the
+    projection onto the loops enclosing the distributed loop.  It is
+    stricter than :func:`lex_scan`'s ``"positive"``, which also accepts
+    ``[0..1, +1]`` (instances with a zero first entry are carried by the
+    second level); distribution verdicts do not take that relaxation.
+    """
+    sign, carriers = lex_scan(entries)
+    return sign == "positive" and len(carriers) == 1
 
 
 def common_projection(

@@ -78,13 +78,6 @@ def recover_structure(layout: Layout, matrix: IntMatrix) -> NewStructure:
     program = layout.program
     result = NewStructure()
 
-    def children_of(path: Path) -> tuple[Node, ...]:
-        if not path:
-            return program.body
-        node = layout.node_at(path)
-        assert isinstance(node, Loop)
-        return node.body
-
     def subtree_size(path: Path) -> int:
         lo, hi = _block_range(layout, path)
         return hi - lo
@@ -97,7 +90,7 @@ def recover_structure(layout: Layout, matrix: IntMatrix) -> NewStructure:
         node = layout.node_at(old_path) if old_path else None
         if isinstance(node, Statement):
             return node
-        children = children_of(old_path)
+        children = layout.children_of(old_path)
         c = len(children)
         cursor = new_start
         if isinstance(node, Loop):

@@ -5,13 +5,13 @@ the memoized Fourier–Motzkin engine (:mod:`repro.polyhedra.engine`) and
 the persistent tune store (:mod:`repro.tune.store`) are shared by every
 request for free.  What the pool adds is *per-program* structure:
 
-* each distinct program (keyed by :func:`repro.api.program_key`, the
+* each distinct program (keyed by :func:`repro.ir.program_key`, the
   SHA-256 of its canonical parse→print text) gets a
-  :class:`ProgramShard` holding the parsed canonical program, a shard
-  lock, and a bounded LRU cache of finished result payloads, so
-  concurrent clients working on unrelated programs never contend;
-* the shard map itself is a bounded LRU (``max_shards``, default 64 or
-  ``$REPRO_SERVICE_SHARDS``) — a daemon that has seen a million distinct
+  :class:`ProgramShard` holding the parsed program, a shard lock, and a
+  bounded LRU cache of finished result payloads, so concurrent clients
+  working on unrelated programs never contend;
+* the shard map itself is a bounded LRU (``max_shards``, default 64,
+  ``repro serve --shards``) — a daemon that has seen a million distinct
   programs holds warm state for only the most recent ones;
 * identical requests that arrive while the first one is still computing
   are *coalesced*: followers block on the leader's flight and share its
@@ -24,13 +24,11 @@ Counters (visible on ``/metrics``): ``service.shard.hits`` / ``.misses``
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable
 
-from repro.api import canonical_text, program_key
-from repro.ir import Program, parse_program
+from repro.ir import Program, canonicalize, program_key
 from repro.obs import counter, gauge
 
 __all__ = ["ProgramShard", "EnginePool", "DEFAULT_MAX_SHARDS"]
@@ -92,9 +90,7 @@ class EnginePool:
         max_results_per_shard: int = DEFAULT_MAX_RESULTS,
     ):
         if max_shards is None:
-            max_shards = int(
-                os.environ.get("REPRO_SERVICE_SHARDS", DEFAULT_MAX_SHARDS)
-            )
+            max_shards = DEFAULT_MAX_SHARDS
         self.max_shards = max(1, max_shards)
         self.max_results_per_shard = max_results_per_shard
         self._lock = threading.Lock()
@@ -115,33 +111,31 @@ class EnginePool:
     def shard_for(self, program_text: str) -> ProgramShard:
         """The (possibly new) shard for a program's canonical text.
 
-        Parsing happens at most once per warm program; eviction drops
-        the least-recently-used shard but never disturbs a request that
-        already holds a reference to it.
+        The text is parsed once per request: that one parse yields the
+        canonical text the key hashes and, on a miss, the shard's
+        program.  Eviction drops the least-recently-used shard but never
+        disturbs a request that already holds a reference to it.
         """
-        text = canonical_text(program_text)
+        # outside the map lock: parsing is pure, so requests never queue
+        # behind one another's parse
+        program, text = canonicalize(program_text, "service")
         key = program_key(text)
+        evicted = 0
         with self._lock:
             shard = self._shards.get(key)
-            if shard is not None:
+            hit = shard is not None
+            if hit:
                 self._shards.move_to_end(key)
-        if shard is not None:
-            self._bump("shard_hits", "service.shard.hits")
-            return shard
-        # parse outside the map lock: parsing is pure and a duplicate
-        # parse on a race is cheaper than serializing all misses
-        program = parse_program(text, "service")
-        with self._lock:
-            shard = self._shards.get(key)
-            if shard is None:
+            else:
                 shard = ProgramShard(key, program, self.max_results_per_shard)
                 self._shards[key] = shard
-            self._shards.move_to_end(key)
-            evicted = 0
-            while len(self._shards) > self.max_shards:
-                self._shards.popitem(last=False)
-                evicted += 1
+                while len(self._shards) > self.max_shards:
+                    self._shards.popitem(last=False)
+                    evicted += 1
             n = len(self._shards)
+        if hit:
+            self._bump("shard_hits", "service.shard.hits")
+            return shard
         self._bump("shard_misses", "service.shard.misses")
         for _ in range(evicted):
             self._bump("shard_evictions", "service.shard.evictions")

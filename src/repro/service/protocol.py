@@ -108,10 +108,18 @@ REQUEST_TYPES: dict[str, type] = {
 
 
 def encode_request(req) -> dict:
-    """Typed request → wire dict."""
+    """Typed request → wire dict.
+
+    A field that holds its default stays off the wire
+    (:func:`decode_request` fills it back in), so a field removed later
+    refuses only the clients that set it."""
     args = {}
     for f in dataclasses.fields(req):
         v = getattr(req, f.name)
+        if f.default is not dataclasses.MISSING and v == f.default:
+            continue
+        if f.default_factory is not dataclasses.MISSING and v == f.default_factory():
+            continue
         if isinstance(v, tuple):
             v = list(v)
         args[f.name] = v

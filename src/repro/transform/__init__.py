@@ -9,7 +9,7 @@ from repro.transform.matrices import (
 )
 from repro.transform.spec import Schedule, parse_schedule, parse_spec, spec_ops
 from repro.transform.tiling import (
-    TILE_LADDER, fuse, fuse_legal, fuse_site_offset, loop_path_by_var,
+    TILE_LADDER, fuse, fuse_legal, fuse_site_offset, fuse_sites, loop_path_by_var,
     strip_mine, tile, tile_var_for, tiling_matrix,
 )
 
@@ -19,6 +19,6 @@ __all__ = [
     "distribute", "jam", "distribution_matrix", "jamming_matrix",
     "distribution_legal", "parse_spec", "parse_schedule", "Schedule",
     "spec_ops", "tile", "strip_mine", "fuse", "fuse_legal",
-    "fuse_site_offset", "tiling_matrix", "loop_path_by_var",
+    "fuse_site_offset", "fuse_sites", "tiling_matrix", "loop_path_by_var",
     "tile_var_for", "TILE_LADDER",
 ]

@@ -21,6 +21,7 @@ from typing import Sequence
 from repro.dependence.depvector import DependenceMatrix
 from repro.instance.layout import EdgeCoord, Layout, LoopCoord, Path
 from repro.ir.ast import Loop, Node, Program
+from repro.legality.check import surely_carried
 from repro.linalg.intmat import IntMatrix
 from repro.util.errors import TransformError
 
@@ -265,15 +266,6 @@ def distribution_legal(deps: DependenceMatrix, path: Path, split: int) -> bool:
             continue
         if gs == 1 and gd == 0:
             outer = d.project(outer_positions)
-            if not _definitely_lex_positive(outer):
+            if not surely_carried(outer):
                 return False
     return True
-
-
-def _definitely_lex_positive(entries) -> bool:
-    for e in entries:
-        if e.definitely_positive():
-            return True
-        if not e.is_zero():
-            return False
-    return False

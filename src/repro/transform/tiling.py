@@ -65,7 +65,7 @@ from repro.transform.distribution import (
 from repro.util.errors import IRError, TransformError
 
 __all__ = [
-    "tile", "strip_mine", "fuse", "fuse_site_offset", "fuse_legal",
+    "tile", "strip_mine", "fuse", "fuse_site_offset", "fuse_sites", "fuse_legal",
     "tiling_matrix", "tiled_deps", "loop_path_by_var", "tile_var_for",
 ]
 
@@ -265,7 +265,7 @@ def tiled_deps(
 # -- fusion ------------------------------------------------------------------
 
 
-def fuse_site_offset(a: Node, b: Node) -> int | None:
+def fuse_site_offset(a: Node, b: Node | None) -> int | None:
     """The constant alignment offset δ such that loop ``b`` iterates
     ``a``'s range shifted by δ — or ``None`` when the pair is not
     fusable (not both unit-step loops with plain affine bounds whose
@@ -287,6 +287,25 @@ def fuse_site_offset(a: Node, b: Node) -> int | None:
     if dhi.eval({}) != delta:
         return None
     return delta
+
+
+def fuse_sites(program: Program) -> list[Path]:
+    """Paths, in preorder, of the loops that can fuse with their next
+    sibling (:func:`fuse_site_offset` is not ``None``)."""
+    sites: list[Path] = []
+
+    def walk(children, path: Path) -> None:
+        for j, child in enumerate(children):
+            if not isinstance(child, Loop):
+                continue
+            cpath = path + (j,)
+            nxt = children[j + 1] if j + 1 < len(children) else None
+            if fuse_site_offset(child, nxt) is not None:
+                sites.append(cpath)
+            walk(child.body, cpath)
+
+    walk(program.body, ())
+    return sites
 
 
 def _shift_expr(name: str, delta: int) -> Expr:

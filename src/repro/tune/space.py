@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import os
@@ -48,7 +49,7 @@ from repro.transform.matrices import (
     permutation, reversal, skew, statement_reorder,
 )
 from repro.transform.tiling import (
-    TILE_LADDER, fuse, fuse_legal, fuse_site_offset, strip_mine, tiled_deps,
+    TILE_LADDER, fuse, fuse_legal, fuse_sites, strip_mine, tiled_deps,
 )
 from repro.util.errors import CompletionError, ReproError, TransformError
 
@@ -135,6 +136,12 @@ class Context:
     def is_tiled(self) -> bool:
         return self.tile is not None
 
+    @cached_property
+    def text(self) -> str:
+        """The program's printed text, once per context: half of every
+        candidate's dedup identity."""
+        return program_to_str(self.program)
+
 
 @dataclass(eq=False)
 class Candidate:
@@ -145,7 +152,6 @@ class Candidate:
     steps: tuple[str, ...] = ()
     kind: str = "identity"
     lead: str | None = None  # set for completion-derived loop orders
-    _text: str | None = field(default=None, repr=False)
 
     @property
     def description(self) -> str:
@@ -153,10 +159,8 @@ class Candidate:
         return "; ".join(parts) if parts else "default order"
 
     def canonical_key(self) -> tuple:
-        """Dedup identity: canonical program text × matrix rows."""
-        if self._text is None:
-            self._text = program_to_str(self.context.program)
-        return (self._text, self.matrix.rows())
+        """Dedup identity: program text × matrix rows."""
+        return (self.context.text, self.matrix.rows())
 
     def __repr__(self) -> str:
         return f"Candidate({self.description!r}, kind={self.kind})"
@@ -253,7 +257,7 @@ def base_contexts(
         # headers matching up to a constant offset (tiling.fuse); exact
         # jam sites were handled above, so skip them here
         jam_paths = {p for p, _ in _jam_sites(program)}
-        for path in _fuse_sites(program):
+        for path in fuse_sites(program):
             if path in jam_paths:
                 continue
             if len(contexts) - 1 >= max_variants:
@@ -273,27 +277,6 @@ def base_contexts(
             contexts.append(ctx)
             counter("tune.space.fusions")
     return contexts
-
-
-def _fuse_sites(program: Program) -> list[Path]:
-    """Paths whose loop can fuse with its next sibling: adjacent
-    unit-step loops whose bounds differ by one constant offset (the
-    generalization of :func:`_jam_sites` that tolerates different loop
-    variables and shifted ranges)."""
-    sites: list[Path] = []
-
-    def walk(children: Sequence[Node], path: Path) -> None:
-        for j, child in enumerate(children):
-            if not isinstance(child, Loop):
-                continue
-            cpath = path + (j,)
-            nxt = children[j + 1] if j + 1 < len(children) else None
-            if nxt is not None and fuse_site_offset(child, nxt) is not None:
-                sites.append(cpath)
-            walk(child.body, cpath)
-
-    walk(program.body, ())
-    return sites
 
 
 def tiled_contexts(

@@ -2,8 +2,8 @@
 
 Every finished :func:`repro.tune.driver.tune` search is serialized as
 one JSON file whose name is the SHA-256 of the *cache key*: the
-program's canonical text (:func:`repro.ir.program_to_str` round-trips
-source programs byte-exactly), the sorted parameter binding, and the
+program's canonical text (:func:`repro.ir.canonical_text`, the same
+identity the service shards by), the sorted parameter binding, and the
 repro version.  Anything that could change the search outcome changes
 the key, so staleness is handled by construction — editing the program,
 re-running with other sizes, or upgrading repro all land on fresh keys,
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.ir.ast import Program
-from repro.ir.printer import program_to_str
+from repro.ir.parser import canonical_text
 from repro.obs import counter
 
 __all__ = ["TuneStore", "DEFAULT_DIR", "ENV_DIR", "STORE_SCHEMA"]
@@ -57,24 +57,6 @@ def _repro_version() -> str:
     return __version__
 
 
-def _canonical_text(program: Program | str) -> str:
-    """Canonical program text for hashing.
-
-    ``program_to_str`` is byte-stable for *parsed* programs, but ASTs
-    built programmatically can print negative literals differently from
-    their reparse (``V + -1`` vs ``V + (-1)``).  One parse→print round
-    trip lands every representation of the same program on the parser's
-    normal form, so equal programs always share a cache key.
-    """
-    from repro.ir.parser import parse_program
-
-    text = program if isinstance(program, str) else program_to_str(program)
-    try:
-        return program_to_str(parse_program(text, "canonical"))
-    except Exception:
-        return text
-
-
 class TuneStore:
     """Directory of tuning results, addressed by content hash."""
 
@@ -95,7 +77,7 @@ class TuneStore:
     ) -> str:
         """SHA-256 cache key over (canonical program text, sorted param
         binding, repro version)."""
-        text = _canonical_text(program)
+        text = canonical_text(program)
         payload = json.dumps(
             {
                 "schema": STORE_SCHEMA,

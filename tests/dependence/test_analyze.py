@@ -195,12 +195,12 @@ class TestTraceCrossCheck:
 
 def _check_coverage(program, params):
     from repro.instance import DynamicInstance, instance_vector
-    from repro.interp import execute, ground_truth_dependences
+    from repro.interp import execute, ground_truth_kinded
 
     layout = Layout(program)
     m = analyze_dependences(program)
     _, trace = execute(program, params, trace=True)
-    gt = ground_truth_dependences(trace)
+    gt = sorted({(a, b) for a, b, _ in ground_truth_kinded(trace)})
     recs = trace.records
     for a, b in gt:
         ra, rb = recs[a], recs[b]

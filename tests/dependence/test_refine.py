@@ -3,10 +3,9 @@ distances)."""
 
 
 from repro.dependence import (
-    DepKind, analyze_dependences, ground_truth_kinded, observed_hulls,
-    refine_dependences,
+    DepKind, analyze_dependences, observed_hulls, refine_dependences,
 )
-from repro.interp import execute
+from repro.interp import execute, ground_truth_kinded
 from repro.ir import parse_program
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.interp import (
-    check_equivalence, execute, ground_truth_dependences, outputs_close,
+    check_equivalence, execute, ground_truth_kinded, outputs_close,
     same_instances,
 )
 from repro.interp.equivalence import instance_keys
@@ -13,11 +13,16 @@ from repro.ir import parse_program
 SRC = "param N\nreal A(0:N)\ndo I = 1..N\n S1: A(I) = A(I-1)\nenddo"
 
 
+def conflict_pairs(t):
+    """The trace's dependences as ordered position pairs, kinds dropped."""
+    return sorted({(a, b) for a, b, _ in ground_truth_kinded(t)})
+
+
 class TestGroundTruth:
     def test_flow_chain(self):
         p = parse_program(SRC)
         _, t = execute(p, {"N": 4}, trace=True)
-        deps = ground_truth_dependences(t)
+        deps = conflict_pairs(t)
         assert deps == [(0, 1), (1, 2), (2, 3)]
 
     def test_anti_and_output(self):
@@ -27,7 +32,7 @@ class TestGroundTruth:
             "do J = 1..N\n S2: A(J) = 0.0\nenddo"
         )
         _, t = execute(p, {"N": 3}, trace=True)
-        deps = ground_truth_dependences(t)
+        deps = conflict_pairs(t)
         # anti: read A(I+1) then write A(I+1) at next I; output: S1 then S2
         assert (0, 1) in deps
         assert any(b >= 3 for _, b in deps)  # cross-loop output deps
@@ -35,7 +40,7 @@ class TestGroundTruth:
     def test_no_deps_when_independent(self):
         p = parse_program("param N\nreal A(N)\ndo I = 1..N\n S1: A(I) = 1.0\nenddo")
         _, t = execute(p, {"N": 4}, trace=True)
-        assert ground_truth_dependences(t) == []
+        assert conflict_pairs(t) == []
 
 
 class TestOracles:

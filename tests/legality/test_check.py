@@ -1,10 +1,14 @@
 """Definition-6 legality tests."""
 
+import itertools
+
 import pytest
 
 from repro.dependence import DepEntry, analyze_dependences
 from repro.dependence.entry import POS_INF
-from repro.legality import DepStatus, assert_legal, check_legality, lex_scan
+from repro.legality import (
+    DepStatus, assert_legal, check_legality, lex_scan, surely_carried,
+)
 from repro.linalg import IntMatrix
 from repro.transform import (
     alignment, compose, permutation, reversal, skew, statement_reorder,
@@ -54,6 +58,47 @@ class TestLexScanCarriers:
     def test_scan_stops_at_an_entry_that_cannot_be_zero(self):
         assert lex_scan((DepEntry.minus(), DepEntry.plus())) == ("may-be-negative", (0,))
         assert lex_scan((DepEntry.star(), DepEntry.plus())) == ("may-be-negative", (0, 1))
+
+
+E = DepEntry.parse
+
+
+class TestSurelyCarried:
+    """The distribution test: the first level that may carry ``d``
+    carries every instance of it."""
+
+    @pytest.mark.parametrize("entries, expected", [
+        ((), False),
+        ((E(0), E(0)), False),
+        ((E(1),), True),
+        ((E(0), E("+")), True),
+        ((E(0), E(2), E("*")), True),
+        ((E("+"), E("-")), True),
+        ((E(-1), E("+")), False),
+        ((E("*"), E("+")), False),
+        ((E("0+"), E(0)), False),
+        # [0..1] may be zero: lex_scan falls through to the +1 and calls
+        # the vector positive, but the first level does not carry it all
+        ((DepEntry(0, 1), E(1)), False),
+        ((E("0+"), E("+")), False),
+    ])
+    def test_table(self, entries, expected):
+        assert surely_carried(entries) is expected
+
+    def test_stricter_than_lex_scan_positive(self):
+        entries = (DepEntry(0, 1), E(1))
+        assert lex_scan(entries) == ("positive", (0, 1))
+        assert not surely_carried(entries)
+
+    def test_equals_the_first_possibly_nonzero_entry_being_positive(self):
+        pool = [E(0), E(1), E(-1), E("+"), E("-"), E("*"), E("0+"), E("-0"),
+                DepEntry(0, 1), DepEntry(-1, 1), DepEntry(2, 5)]
+        for n in range(4):
+            for entries in itertools.product(pool, repeat=n):
+                first = next((e for e in entries if not e.is_zero()), None)
+                assert surely_carried(entries) == (
+                    first is not None and first.definitely_positive()
+                ), entries
 
 
 class TestSimplifiedCholesky:

@@ -167,3 +167,42 @@ def test_snapshot_shape():
     assert snap["shards"][0]["results"] == 1
     for key in ("shard_hits", "cache_misses", "coalesced"):
         assert key in snap
+
+
+def test_shard_for_parses_each_request_once(monkeypatch):
+    """One parse gives the key's canonical text and, on a miss, the
+    shard's program: no second canonicalisation, no third parse."""
+    from repro.ir import parser
+
+    calls = []
+    real = parser._Parser.parse_program
+
+    def counting(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(parser._Parser, "parse_program", counting)
+    pool = EnginePool()
+    pool.shard_for(SRC)
+    assert len(calls) == 1  # miss
+    pool.shard_for(SRC_VARIANT)
+    assert len(calls) == 2  # hit
+    assert pool.stats["shard_misses"] == 1 and pool.stats["shard_hits"] == 1
+
+
+def test_shard_bound_is_the_argument_not_the_environment(monkeypatch):
+    from repro.service.engine_pool import DEFAULT_MAX_SHARDS
+
+    monkeypatch.setenv("REPRO_" "SERVICE_SHARDS", "3")
+    assert EnginePool().max_shards == DEFAULT_MAX_SHARDS
+    assert EnginePool(max_shards=3).max_shards == 3
+
+
+def test_unparsable_program_is_refused_without_a_shard():
+    from repro.util.errors import ParseError
+
+    pool = EnginePool()
+    with pytest.raises(ParseError):
+        pool.shard_for("do I = 1, N\n  S1: A(I) = \nenddo")
+    assert pool.shard_count() == 0
+    assert pool.stats["shard_misses"] == 0

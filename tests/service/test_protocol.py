@@ -81,6 +81,25 @@ def test_non_object_body_rejected():
         )
 
 
+def test_defaults_stay_off_the_wire():
+    """Only ``program`` and the fields a client set travel, so removing
+    a field later refuses only the clients that set it."""
+    assert encode_request(AnalyzeRequest(program="x"))["args"] == {"program": "x"}
+    wire = encode_request(RunRequest(program=SRC, params={}, backend="source"))
+    assert wire["args"] == {"program": SRC, "backend": "source"}
+    for cls in REQUEST_TYPES.values():
+        req = cls(**({"program": SRC} if "program" in
+                     {f.name for f in dataclasses.fields(cls)} else {}))
+        assert wire_roundtrip(req) == req
+
+
+def test_a_removed_field_is_still_refused_by_name():
+    wire = encode_request(AnalyzeRequest(program=SRC))
+    wire["args"]["jobs"] = None  # what an older client sent by default
+    with pytest.raises(ServiceError, match="unknown argument.*jobs"):
+        decode_request(wire)
+
+
 def test_json_lists_become_tuples():
     wire = encode_request(TuneRequest(program=SRC, tile_sizes=(8, 16)))
     assert wire["args"]["tile_sizes"] == [8, 16]  # JSON-safe on the wire

@@ -5,8 +5,10 @@ superseded by the ledger (``compare.py``, ``emit.py``,
 ``source-par`` worker pool (its module, dispatcher, flag, environment
 variables and explain phase), the ``transform`` flag that asked for
 simplified output, which is now the only output, the explain-only
-restructuring completion search, or the process pool that spread
-dependence analysis over conflicting pairs."""
+restructuring completion search, the process pool that spread
+dependence analysis over conflicting pairs, or the second copies of a
+rule (program canonicaliser, positivity test, trace dependence scan,
+fusion-site finder) and the daemon's shard-bound variable."""
 
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ DELETED = (
     "backend/wavefront.py", "--phase wavefront", "--simp" "lify",
     "complete_with_" "restructuring", "completion.enabling",
     "_MIN_PAIRS" "_FOR_POOL", "_analyze_pairs" "_task",
+    "_canonical" "_text", "_definitely" "_carried", "_definitely" "_lex_positive",
+    "ground_truth" "_dependences", "_fuse" "_vars", "_fuse" "_sites",
+    "REPRO_" "SERVICE_SHARDS", "Candidate." "_text", "CaseResult." "oracle",
 )
 
 
