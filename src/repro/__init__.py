@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from repro.linalg import IntMatrix
     from repro.transform import (
         Transformation, alignment, compose, distribute, distribution_legal, identity,
-        jam, permutation, reversal, scaling, skew, statement_reorder,
+        permutation, reversal, scaling, skew, statement_reorder,
     )
     from repro.util.errors import ReproError
 
@@ -74,8 +74,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.linalg": ("IntMatrix",),
     "repro.transform": (
         "Transformation", "alignment", "compose", "distribute", "distribution_legal",
-        "identity", "jam", "permutation", "reversal", "scaling", "skew",
-        "statement_reorder",
+        "identity", "permutation", "reversal", "scaling", "skew", "statement_reorder",
     ),
     "repro.util.errors": ("ReproError",),
 })

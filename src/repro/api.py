@@ -433,8 +433,8 @@ def transformed(program: Program, spec: str) -> Program:
     schedule = parse_schedule(program, spec)
     if not schedule.structural_legal:
         raise LegalityError(
-            f"structural prefix {'; '.join(schedule.structural)} fails the "
-            "Theorem-2 fusion test"
+            f"structural prefix {'; '.join(schedule.structural)} fails its "
+            "Theorem-2 distribution/fusion test"
         )
     return generate_code(schedule.program, schedule.matrix, schedule.deps).program
 

@@ -31,9 +31,10 @@ against a running ``repro serve`` daemon instead of in-process; output
 is byte-identical either way because both paths render through
 :mod:`repro.api` (docs/SERVICE.md).
 
-Transformation specs are semicolon-separated elementary transformations;
-structural ``tile``/``fuse`` ops rewrite the program and must come first
-(docs/TILING.md)::
+Transformation specs are semicolon-separated elementary transformations,
+one per record of :data:`repro.transform.spec.CATALOGUE`; structural
+``tile``/``distribute``/``fuse`` ops rewrite the program and must come
+first (docs/TILING.md)::
 
     tile(I,16); fuse(J); permute(I,J); skew(I,J,-1); align(S1,I,1)
 
@@ -58,7 +59,7 @@ from repro.instance import Layout, symbolic_vector
 from repro.ir import program_to_str
 from repro.linalg import IntMatrix
 from repro.backend.names import BACKENDS as _BACKEND_CHOICES
-from repro.transform.spec import parse_spec
+from repro.transform.spec import SPEC_GRAMMAR, parse_spec
 from repro.util.errors import LegalityError, ReproError
 
 #: exit codes shared with scripts and CI: 0 accepted, 1 rejected
@@ -435,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
-    p.add_argument("spec", help='e.g. "permute(I,J); skew(I,J,-1)"')
+    p.add_argument("spec", help=f'e.g. "permute(I,J); skew(I,J,-1)"; {SPEC_GRAMMAR}')
     p.add_argument(
         "--symbolic",
         action="store_true",
@@ -449,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         parents=[obsflags, remoteflags],
     )
     p.add_argument("file")
-    p.add_argument("spec")
+    p.add_argument("spec", help=SPEC_GRAMMAR)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_transform)
 
@@ -533,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         "--structural",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="include distribution/jamming/fusion structural variants",
+        help="include distribution/fusion structural variants",
     )
     p.add_argument(
         "--tile",
@@ -554,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="hard cap on enumerated candidates per stage; excess is "
         "truncated with a kind=tune verdict=truncated event "
-        "(default 96, or $REPRO_TUNE_MAX)",
+        "(default 96)",
     )
     p.add_argument(
         "--cross-check",

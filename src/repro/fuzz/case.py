@@ -492,7 +492,7 @@ def _derived_divergence(schedule, generated) -> str | None:
             counter("fuzz.derived_skips")
             return None
 
-    if schedule is not None and any(op.startswith("tile") for op in schedule.structural):
+    if schedule is not None and schedule.derived:
         counter("fuzz.derived_checks")
         for a in analysed(schedule.program) or ():
             if not any(

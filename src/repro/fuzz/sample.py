@@ -12,10 +12,11 @@ weighted shape mix (perfect nests, deep imperfect nests, triangular
 bounds, wide multi-statement bodies); transformations are either random
 compositions of the elementary spec operations (validated against the
 layout at sample time, so the reject rate stays low) or completion
-requests for a random lead loop; one op of the mix is the wavefront
-pair ``skew(a,b,f); permute(a,b)``.  A slice of the spec stream carries a
-structural ``tile``/``fuse`` prefix (validated via
-:func:`~repro.transform.spec.parse_schedule`), so the strip-mine
+requests for a random lead loop.  The ops are the draws of the
+transformation catalogue (:data:`repro.transform.spec.CATALOGUE`), each
+with the weight its record gives it; one of the skew record's draws is
+the wavefront pair ``skew(a,b,f); permute(a,b)``.  A slice of the spec
+stream carries a structural ``tile``/``fuse`` prefix, so the strip-mine
 bookkeeping, the fusion legality test and the schedule pullback all sit
 on the differential-testing path; half the ``tile`` draws go on to
 reverse or skew the point loop, so the tiled program's *derived*
@@ -32,10 +33,8 @@ from repro.fuzz.case import FuzzCase
 from repro.instance import Layout
 from repro.ir import program_to_str
 from repro.kernels import random_program
-from repro.transform.spec import parse_spec
-from repro.transform.tiling import (
-    fuse, fuse_sites, loop_path_by_var, strip_mine,
-)
+from repro.transform.spec import CATALOGUE, KINDS, parse_part, parse_spec
+from repro.transform.tiling import loop_path_by_var
 from repro.util.errors import ReproError
 
 __all__ = ["sample_case", "sample_spec", "SHAPE_WEIGHTS"]
@@ -50,16 +49,6 @@ SHAPE_WEIGHTS = (
     ("stencil", 3),
 )
 
-#: op -> relative weight when sampling spec operations
-_OP_WEIGHTS = (
-    ("permute", 30),
-    ("skew", 20),
-    ("reverse", 20),
-    ("align", 15),
-    ("scale", 10),
-    ("skew-permute", 10),
-)
-
 #: fraction of cases that exercise the completion procedure instead of
 #: an explicit spec
 _COMPLETE_SHARE = 0.15
@@ -69,12 +58,19 @@ _COMPLETE_SHARE = 0.15
 #: one, so the realized share is a bit lower)
 _STRUCTURAL_SHARE = 0.35
 
-#: tile sizes the fuzzer strip-mines with — deliberately tiny so tile
-#: loops have several iterations at fuzz-sized N in (3..5)
-_TILE_SIZES = (2, 3, 4)
+
+def _draws(structural: bool) -> list[tuple]:
+    """The catalogue's ``(draw, weight)`` pairs of one class, in slot order."""
+    slots = sorted(d for k in CATALOGUE if k.structural == structural for d in k.draws)
+    return [(draw, weight) for _, weight, draw in slots]
 
 
-def _weighted(rng: random.Random, table) -> str:
+#: the linear ops' weighted walk, and the structural ops' shares
+_LINEAR_DRAWS = _draws(False)
+_STRUCTURAL_DRAWS = _draws(True)
+
+
+def _weighted(rng: random.Random, table):
     total = sum(w for _, w in table)
     x = rng.randrange(total)
     for name, w in table:
@@ -138,32 +134,32 @@ def sample_spec(
     work_layout = layout
     if program is not None and rng.random() < _STRUCTURAL_SHARE:
         for _ in range(6):
-            drawn = _sample_structural(rng, layout, program)
-            if drawn is None:
+            op = _draw_structural(rng, layout)
+            if op is None:
                 break
-            op, rewrite = drawn
+            kind, args = parse_part(op)
             try:
-                # apply the rewrite directly — parse_schedule would also
-                # run dependence analysis and the fusion legality test,
-                # which sampling neither needs (illegal fuses are kept
-                # for the oracles) nor can afford per draw
-                rewritten = rewrite(program)
+                # the rewrite alone — the full step would also run
+                # dependence analysis and the fusion legality test, which
+                # sampling neither needs (illegal fuses are kept for the
+                # oracles) nor can afford per draw
+                path = loop_path_by_var(program, args[0])
+                rewritten = kind.rewrite(program, path, *args[1:])
             except ReproError:
                 continue  # no such site on this program; re-roll
             structural.append(op)
             work_layout = Layout(rewritten)
             break
     loops = [c.var for c in work_layout.loop_coords()]
-    labels = work_layout.statement_labels()
     ops: list[str] = []
-    if structural and structural[0].startswith("tile") and rng.random() < 0.5:
+    if structural and kind is KINDS["tile"] and rng.random() < 0.5:
         # reverse or skew the point loop, so the tiled program's derived
         # dependences meet the legality test on the loop they describe
-        point = structural[0][5:].split(",")[0]
+        point = args[0]
         others = [v for v in loops if v != point]
         op = (
-            f"skew({point},{rng.choice(others)},{rng.choice((-1, 1))})"
-            if others and rng.random() < 0.5 else f"reverse({point})"
+            KINDS["skew"].render(point, rng.choice(others), rng.choice((-1, 1)))
+            if others and rng.random() < 0.5 else KINDS["reverse"].render(point)
         )
         try:
             parse_spec(work_layout, op)
@@ -174,7 +170,7 @@ def sample_spec(
     attempts = 0
     while len(ops) < n_ops and attempts < 8 * max_ops:
         attempts += 1
-        op = _sample_op(rng, loops, labels)
+        op = _weighted(rng, _LINEAR_DRAWS)(rng, work_layout)
         if op is None or len(ops) + op.count(";") >= n_ops:
             continue  # nothing drawn, or a pair with one slot left
         # the structural prefix is already validated, so the linear
@@ -194,45 +190,15 @@ def sample_spec(
     return "; ".join(structural + ops)
 
 
-def _sample_structural(rng: random.Random, layout: Layout, program):
-    """Draw one structural op; returns ``(spec_text, rewrite_fn)`` where
-    ``rewrite_fn(program)`` applies it (raising :class:`ReproError` when
-    the named site does not admit it), or ``None`` on a loop-less
-    layout.  Fuse targets are drawn from the loops that actually lead a
-    fusable sibling pair — a uniformly random loop almost never does, so
-    fuse would otherwise vanish from the stream."""
-    loops = [c.var for c in layout.loop_coords()]
-    if not loops:
+def _draw_structural(rng: random.Random, layout: Layout) -> str | None:
+    """One structural op, or ``None`` on a loop-less layout: a uniform
+    draw walks the records' shares, and a kind with no site on the
+    program (no fusable pair) yields to the first (``tile``)."""
+    if not layout.loop_coords():
         return None
-    fusable = [layout.node_at(path).var for path in fuse_sites(program)]
-    if rng.random() < 0.7 or not fusable:
-        var = rng.choice(loops)
-        size = rng.choice(_TILE_SIZES)
-        return (
-            f"tile({var},{size})",
-            lambda p: strip_mine(p, loop_path_by_var(p, var), size),
-        )
-    var = rng.choice(fusable)
-    return f"fuse({var})", lambda p: fuse(p, loop_path_by_var(p, var))
-
-
-def _sample_op(rng: random.Random, loops: list[str], labels: list[str]) -> str | None:
-    kind = _weighted(rng, _OP_WEIGHTS)
-    if kind == "permute" and len(loops) >= 2:
-        a, b = rng.sample(loops, 2)
-        return f"permute({a},{b})"
-    if kind == "skew" and len(loops) >= 2:
-        a, b = rng.sample(loops, 2)
-        return f"skew({a},{b},{rng.choice((-2, -1, 1, 2))})"
-    if kind == "skew-permute" and len(loops) >= 2:
-        # the wavefront move: an outer entry of M·d may be zero, so a
-        # dependence can fall through to the interchanged inner loop
-        a, b = rng.sample(loops, 2)
-        return f"skew({a},{b},{rng.choice((1, 2))}); permute({a},{b})"
-    if kind == "reverse" and loops:
-        return f"reverse({rng.choice(loops)})"
-    if kind == "align" and labels and loops:
-        return f"align({rng.choice(labels)},{rng.choice(loops)},{rng.choice((-2, -1, 1, 2))})"
-    if kind == "scale" and loops:
-        return f"scale({rng.choice(loops)},{rng.choice((2, 3))})"
-    return None
+    x, total, acc = rng.random(), sum(w for _, w in _STRUCTURAL_DRAWS), 0.0
+    for draw, weight in _STRUCTURAL_DRAWS:
+        acc += weight / total
+        if x < acc:
+            break
+    return draw(rng, layout) or _STRUCTURAL_DRAWS[0][0](rng, layout)

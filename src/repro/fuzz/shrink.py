@@ -26,7 +26,7 @@ from repro.ir import parse_program, program_to_str
 from repro.ir.ast import Loop, Node, Program, Statement
 from repro.ir.expr import affine_to_expr
 from repro.obs import counter, span
-from repro.transform.spec import spec_ops
+from repro.transform.spec import parse_part, spec_ops
 from repro.util.errors import ReproError
 
 __all__ = ["shrink_case", "case_size", "shrink_candidates"]
@@ -128,27 +128,17 @@ def shrink_candidates(case: FuzzCase):
 
 
 def _weaken_op(op: str):
-    """Variants of one spec op with smaller integer arguments."""
-    m = re.fullmatch(r"\s*([a-z_]+)\s*\(([^)]*)\)\s*", op)
-    if not m:
-        return
-    name = m.group(1)
-    args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-    if name == "skew" and len(args) == 3:
-        slot, floor = 2, 1
-    elif name == "align" and len(args) == 3:
-        slot, floor = 2, 1
-    elif name == "scale" and len(args) == 2:
-        slot, floor = 1, 2  # scale(x, 1) is the identity; stop at 2
-    else:
-        return
+    """Variants of one spec op with a smaller integer argument: the one
+    its catalogue record names, moved to its floor."""
     try:
-        value = int(args[slot])
-    except ValueError:
+        kind, args = parse_part(op)
+    except ReproError:
         return
-    if abs(value) > floor:
-        weaker = floor if value > 0 else -floor
-        yield f"{name}({', '.join(args[:slot] + [str(weaker)])})"
+    if kind.weaken is not None:
+        slot, floor = kind.weaken
+        if abs(args[slot]) > floor:
+            weaker = floor if args[slot] > 0 else -floor
+            yield kind.render(*args[:slot], weaker, *args[slot + 1:])
 
 
 def _with_program(case: FuzzCase, program: Program, drop_name: str) -> FuzzCase:

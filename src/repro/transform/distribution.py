@@ -1,12 +1,14 @@
-"""Loop distribution and jamming (paper §4.2).
+"""Loop distribution (paper §4.2).
 
 The paper models distribution and jamming with *non-square* matrices
 (they replicate or merge coordinate positions) but excludes them from
 its code-generation and completion procedures.  We follow suit: this
 module provides
 
-* the non-square matrices of §4.2 (for the E5 reproduction),
-* direct AST-level ``distribute`` / ``jam`` program transformations,
+* the non-square distribution matrix of §4.2 (for the E5 reproduction;
+  jamming, its inverse, is :func:`repro.transform.tiling.fuse` at offset
+  0 and has its matrix there),
+* the direct AST-level ``distribute`` program transformation,
 * a dependence-based legality test: distribution of a loop between two
   statement groups is legal iff no dependence runs *backward* (from the
   later group to the earlier group) under that loop unless it is
@@ -25,19 +27,13 @@ from repro.legality.check import surely_carried
 from repro.linalg.intmat import IntMatrix
 from repro.util.errors import TransformError
 
-__all__ = [
-    "distribute",
-    "jam",
-    "distribution_matrix",
-    "jamming_matrix",
-    "distribution_legal",
-]
+__all__ = ["distribute", "distribution_matrix", "distribution_legal"]
 
 
 def _loop_at(program: Program, path: Path) -> Loop:
-    node: Node = program.body[path[0]]
-    for j in path[1:]:
-        if not isinstance(node, Loop):
+    node: Node | Program = program
+    for j in path:
+        if not isinstance(node, (Program, Loop)) or not 0 <= j < len(node.body):
             raise TransformError(f"path {path} does not name a loop")
         node = node.body[j]
     if not isinstance(node, Loop):
@@ -79,47 +75,6 @@ def distribute(program: Program, path: Path, split: int) -> Program:
     first = loop.with_body(loop.body[:split])
     second = loop.with_body(loop.body[split:])
     return _replace_at(program, path, [first, second])
-
-
-def jam(program: Program, path: Path) -> Program:
-    """Fuse the loop at ``path`` with its immediately following sibling.
-
-    Both loops must have the same variable, bounds and step.
-    """
-    parent = path[:-1]
-    idx = path[-1]
-    siblings = program.body if not parent else _loop_at(program, parent).body
-    if idx + 1 >= len(siblings):
-        raise TransformError("no following sibling loop to jam with")
-    a, b = siblings[idx], siblings[idx + 1]
-    if not (isinstance(a, Loop) and isinstance(b, Loop)):
-        raise TransformError("jam requires two adjacent loops")
-    if (a.var, a.lower, a.upper, a.step) != (b.var, b.lower, b.upper, b.step):
-        raise TransformError("jam requires identical loop headers")
-    fused = a.with_body(a.body + b.body)
-    without_b = _drop_child(program, parent, idx + 1)
-    return _replace_at(without_b, parent + (idx,), [fused])
-
-
-def _drop_child(program: Program, parent: Path, idx: int) -> Program:
-    if not parent:
-        body = list(program.body)
-        del body[idx]
-        return program.with_body(tuple(body))
-
-    def rebuild(node: Node, rest: Path) -> Node:
-        assert isinstance(node, Loop)
-        if not rest:
-            body = list(node.body)
-            del body[idx]
-            return node.with_body(tuple(body))
-        body = list(node.body)
-        body[rest[0]] = rebuild(body[rest[0]], rest[1:])
-        return node.with_body(tuple(body))
-
-    top = list(program.body)
-    top[parent[0]] = rebuild(top[parent[0]], parent[1:])
-    return program.with_body(tuple(top))
 
 
 def _coord_matrix(old: Layout, new: Layout, coord_map) -> IntMatrix:
@@ -181,57 +136,6 @@ def distribution_matrix(program: Program, path: Path, split: int) -> tuple[IntMa
             return EdgeCoord(parent, nc.child - 1)
         if len(p) > len(parent) and p[: len(parent)] == parent and p[len(parent)] > idx + 1:
             return _remap(nc, parent + (p[len(parent)] - 1,) + p[len(parent) + 1 :])
-        return nc
-
-    return _coord_matrix(old_layout, new_layout, coord_map), new_program
-
-
-def jamming_matrix(program: Program, path: Path) -> tuple[IntMatrix, Program]:
-    """The non-square §4.2 matrix for jamming the loop at ``path`` with
-    its following sibling, plus the new program.
-
-    The fused loop coordinate selects the *second* copy's loop
-    coordinate (matching the paper's example); instances from the first
-    copy land on a padded entry and rely on augmentation.
-    """
-    old_layout = Layout(program)
-    new_program = jam(program, path)
-    new_layout = Layout(new_program)
-    a = _loop_at(program, path)
-    n_first = len(a.body)
-    parent, idx = path[:-1], path[-1]
-    path_b = parent + (idx + 1,)
-    b_nchildren = len(_loop_at(program, path_b).body)
-
-    def old_edge_to_child(copy_path: Path, child: int, copy_nchildren: int):
-        """Old coordinate that is 1 exactly for statements under the
-        copy's ``child``: the copy's own edge when it has several
-        children, else the parent's edge to the copy itself."""
-        if copy_nchildren >= 2:
-            return EdgeCoord(copy_path, child)
-        return EdgeCoord(parent, copy_path[-1])
-
-    def coord_map(nc):
-        p = nc.path
-        if p == path:
-            if isinstance(nc, LoopCoord):
-                return LoopCoord(path_b, nc.var)
-            if nc.child < n_first:
-                return old_edge_to_child(path, nc.child, n_first)
-            return old_edge_to_child(path_b, nc.child - n_first, b_nchildren)
-        if p[: len(path)] == path:
-            rest = p[len(path):]
-            if rest[0] < n_first:
-                return nc
-            return _remap(nc, path_b + (rest[0] - n_first,) + rest[1:])
-        if isinstance(nc, EdgeCoord) and p == parent:
-            if nc.child < idx:
-                return nc
-            if nc.child == idx:
-                return [EdgeCoord(parent, idx), EdgeCoord(parent, idx + 1)]
-            return EdgeCoord(parent, nc.child + 1)
-        if len(p) > len(parent) and p[: len(parent)] == parent and p[len(parent)] > idx:
-            return _remap(nc, parent + (p[len(parent)] + 1,) + p[len(parent) + 1 :])
         return nc
 
     return _coord_matrix(old_layout, new_layout, coord_map), new_program

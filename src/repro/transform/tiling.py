@@ -41,8 +41,8 @@ square layout transformations:
 
   Fusion is legal iff *distributing the fused loop back* is legal
   (:func:`repro.transform.distribution.distribution_legal` on the fused
-  program's dependences) — the same inverse argument the tuner already
-  uses to admit jamming variants.
+  program's dependences).  At δ = 0 with one variable, fusion is §4.2
+  jamming (:func:`jamming_matrix` keeps the paper's matrix for it).
 """
 
 from __future__ import annotations
@@ -62,11 +62,13 @@ from repro.polyhedra.bounds import Bound
 from repro.transform.distribution import (
     _coord_matrix, _loop_at, _remap, _replace_at, distribution_legal,
 )
+from repro.transform.matrices import _children_at, _replace_children
 from repro.util.errors import IRError, TransformError
 
 __all__ = [
-    "tile", "strip_mine", "fuse", "fuse_site_offset", "fuse_sites", "fuse_legal",
-    "tiling_matrix", "tiled_deps", "loop_path_by_var", "tile_var_for",
+    "tile", "strip_mine", "fuse", "fuse_site_offset", "fuse_sites",
+    "fuse_legal", "jamming_matrix", "tiling_matrix", "tiled_deps", "loop_paths",
+    "loop_path_by_var", "tile_var_for",
 ]
 
 #: Tile sizes the tuner enumerates (power-of-two ladder spanning the
@@ -74,26 +76,34 @@ __all__ = [
 TILE_LADDER = (16, 32, 64, 128)
 
 
-def loop_path_by_var(program: Program, name: str) -> Path:
-    """The path of the unique loop named ``name``; raises when the name
-    is missing or names several (non-nested) loops."""
-    matches: list[Path] = []
+def loop_paths(program: Program) -> list[Path]:
+    """Paths of every loop node, preorder."""
+    out: list[Path] = []
 
     def walk(children, path: Path) -> None:
         for j, child in enumerate(children):
             if isinstance(child, Loop):
-                cpath = path + (j,)
-                if child.var == name:
-                    matches.append(cpath)
-                walk(child.body, cpath)
+                out.append(path + (j,))
+                walk(child.body, path + (j,))
 
     walk(program.body, ())
+    return out
+
+
+def loop_path_by_var(program: Program, name: str | Path) -> Path:
+    """The path of the loop a spec argument names: a path, or a loop
+    variable; raises when the path names no loop or the name is missing
+    or names several (non-nested) loops."""
+    if isinstance(name, tuple):
+        _loop_at(program, name)
+        return name
+    matches = [p for p in loop_paths(program) if _loop_at(program, p).var == name]
     if not matches:
         raise TransformError(f"no loop named {name!r}")
     if len(matches) > 1:
         raise TransformError(
             f"loop name {name!r} is ambiguous ({len(matches)} loops); "
-            "tile/fuse need a unique loop variable"
+            "name the loop by its path (e.g. 0.1)"
         )
     return matches[0]
 
@@ -289,23 +299,19 @@ def fuse_site_offset(a: Node, b: Node | None) -> int | None:
     return delta
 
 
+def _sibling_pair(program: Program, path: Path) -> tuple[Node, Node | None]:
+    """The loop at ``path`` and its next sibling (None when it is last)."""
+    siblings, j = _children_at(program, path[:-1]), path[-1]
+    return siblings[j], (siblings[j + 1] if j + 1 < len(siblings) else None)
+
+
 def fuse_sites(program: Program) -> list[Path]:
     """Paths, in preorder, of the loops that can fuse with their next
     sibling (:func:`fuse_site_offset` is not ``None``)."""
-    sites: list[Path] = []
-
-    def walk(children, path: Path) -> None:
-        for j, child in enumerate(children):
-            if not isinstance(child, Loop):
-                continue
-            cpath = path + (j,)
-            nxt = children[j + 1] if j + 1 < len(children) else None
-            if fuse_site_offset(child, nxt) is not None:
-                sites.append(cpath)
-            walk(child.body, cpath)
-
-    walk(program.body, ())
-    return sites
+    return [
+        p for p in loop_paths(program)
+        if fuse_site_offset(*_sibling_pair(program, p)) is not None
+    ]
 
 
 def _shift_expr(name: str, delta: int) -> Expr:
@@ -318,17 +324,16 @@ def _shift_expr(name: str, delta: int) -> Expr:
 def fuse(program: Program, path: Path) -> Program:
     """Fuse the loop at ``path`` with its immediately following sibling.
 
-    Generalizes :func:`repro.transform.distribution.jam` to headers that
-    match up to a constant offset δ: the second loop's body is rewritten
-    with its variable substituted by ``first.var + δ`` (per-statement
-    alignment), then appended to the first loop's body.  Purely
-    structural — legality is :func:`fuse_legal`.
+    The headers must match up to a constant offset δ: the second loop's
+    body is rewritten with its variable substituted by ``first.var + δ``
+    (per-statement alignment), then appended to the first loop's body.
+    At δ = 0 with one variable this is §4.2 jamming, the inverse of
+    distribution.  Purely structural — legality is :func:`fuse_legal`.
     """
-    parent, idx = path[:-1], path[-1]
-    siblings = program.body if not parent else _loop_at(program, parent).body
-    if idx + 1 >= len(siblings):
+    siblings, j = _children_at(program, path[:-1]), path[-1]
+    if j + 1 >= len(siblings):
         raise TransformError("no following sibling loop to fuse with")
-    a, b = siblings[idx], siblings[idx + 1]
+    a, b = siblings[j], siblings[j + 1]
     delta = fuse_site_offset(a, b)
     if delta is None:
         raise TransformError(
@@ -348,11 +353,9 @@ def fuse(program: Program, path: Path) -> Program:
     else:
         mapping = {b.var: _shift_expr(a.var, delta)}
         moved = tuple(child.substituted(mapping) for child in b.body)
-    fused = a.with_body(a.body + moved)
-    from repro.transform.distribution import _drop_child
-
-    without_b = _drop_child(program, parent, idx + 1)
-    out = _replace_at(without_b, parent + (idx,), [fused])
+    out = _replace_children(
+        program, path[:-1], siblings[:j] + (a.with_body(a.body + moved),) + siblings[j + 2:]
+    )
     counter("transform.fusions")
     return out
 
@@ -402,3 +405,57 @@ def fuse_legal(
             site=site, loop=a.var, split=split,
         )
     return ok
+
+
+def jamming_matrix(program: Program, path: Path) -> tuple[IntMatrix, Program]:
+    """The non-square §4.2 matrix for jamming the loop at ``path`` with
+    its following sibling, plus the new program.
+
+    Jamming is :func:`fuse` of two loops with one header (offset 0, one
+    variable).  The fused loop coordinate selects the *second* copy's
+    loop coordinate (matching the paper's example); instances from the
+    first copy land on a padded entry and rely on augmentation.
+    """
+    parent, idx = path[:-1], path[-1]
+    path_b = parent + (idx + 1,)
+    a, b = _loop_at(program, path), _loop_at(program, path_b)
+    if a.var != b.var or fuse_site_offset(a, b) != 0:
+        raise TransformError("jamming requires two loops with one header")
+    old_layout = Layout(program)
+    new_program = fuse(program, path)
+    new_layout = Layout(new_program)
+    n_first = len(a.body)
+    b_nchildren = len(b.body)
+
+    def old_edge_to_child(copy_path: Path, child: int, copy_nchildren: int):
+        """Old coordinate that is 1 exactly for statements under the
+        copy's ``child``: the copy's own edge when it has several
+        children, else the parent's edge to the copy itself."""
+        if copy_nchildren >= 2:
+            return EdgeCoord(copy_path, child)
+        return EdgeCoord(parent, copy_path[-1])
+
+    def coord_map(nc):
+        p = nc.path
+        if p == path:
+            if isinstance(nc, LoopCoord):
+                return LoopCoord(path_b, nc.var)
+            if nc.child < n_first:
+                return old_edge_to_child(path, nc.child, n_first)
+            return old_edge_to_child(path_b, nc.child - n_first, b_nchildren)
+        if p[: len(path)] == path:
+            rest = p[len(path):]
+            if rest[0] < n_first:
+                return nc
+            return _remap(nc, path_b + (rest[0] - n_first,) + rest[1:])
+        if isinstance(nc, EdgeCoord) and p == parent:
+            if nc.child < idx:
+                return nc
+            if nc.child == idx:
+                return [EdgeCoord(parent, idx), EdgeCoord(parent, idx + 1)]
+            return EdgeCoord(parent, nc.child + 1)
+        if len(p) > len(parent) and p[: len(parent)] == parent and p[len(parent)] > idx:
+            return _remap(nc, parent + (p[len(parent)] + 1,) + p[len(parent) + 1 :])
+        return nc
+
+    return _coord_matrix(old_layout, new_layout, coord_map), new_program

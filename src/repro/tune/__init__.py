@@ -1,9 +1,10 @@
 """Guided schedule autotuner (docs/AUTOTUNING.md).
 
 Searches the space of *legal* transformed schedules of a loop nest —
-permutations via the completion procedure, skews seeded from the
-dependence matrix, reversals, statement reorderings, and
-distribution/jamming structural variants — ranks them with a static
+permutations via the completion procedure, and the transformation
+catalogue's kinds at their sites (skews seeded from the dependence
+matrix, reversals, statement reorderings, distribution/fusion
+variants) — ranks them with a static
 locality + vectorizability cost model, measures the top survivors with
 a real backend, and persists the winner in a content-addressed cache so
 the search runs once per (program, params, version).

@@ -354,7 +354,7 @@ def tune(
     default ladder); when set, the beam and the measured set reserve
     :data:`BLOCKED_SLOTS` for the best blocked candidates (see
     :func:`_stratified`).  ``max_candidates`` caps every enumeration
-    level (default: ``REPRO_TUNE_MAX`` or 96), emitting a
+    level (default 96), emitting a
     ``tune/truncated`` event when the cap bites.  ``cross_check`` is
     ``"full"`` (reference interpreter at the real sizes) or ``"model"``
     (reference at sizes capped to :data:`CROSS_CHECK_CAP` — required

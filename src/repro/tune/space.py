@@ -1,23 +1,23 @@
 """Candidate enumeration for the schedule autotuner.
 
-The search space is assembled from the framework's own transformation
-constructors, so every candidate is *expressible* by construction and
-its legality is decidable by the Theorem-2 projection test before any
-code is generated or executed:
+The search space is the transformation catalogue
+(:data:`repro.transform.spec.CATALOGUE`) read at its tuner sites, so
+every candidate is *expressible* by construction — its description is a
+spec ``parse_schedule`` accepts — and its legality is decidable by the
+Theorem-2 projection test before any code is generated or executed:
 
 * **loop orders** — for every loop coordinate, the partial
   transformation "scan this coordinate outermost" completed to a full
   matrix by :func:`repro.completion.complete_transformation` (the §6
   procedure; legal by construction, still audited);
-* **interchanges / reversals / skews** — elementary §4.1 matrices over
-  nested loop pairs, with skew factors seeded from the constants that
-  actually appear in the dependence-matrix entries;
-* **statement reorderings** — §4.2 child permutations of multi-child
-  nodes;
-* **distribution / jamming variants** — AST-level rewrites from
-  :mod:`repro.transform.distribution`; each legal variant becomes a new
-  search *context* (its own program, layout and dependence matrix) whose
-  schedules are enumerated like the original's.
+* **steps** — each linear kind at its sites over the source program:
+  interchanges and skews of nested loop pairs (skew factors seeded from
+  the constants of the dependence matrix), reversals, §4.2 statement
+  reorderings;
+* **variants** — each legal ``distribute``/``fuse`` rewrite becomes a
+  new search *context* (its own program, layout and dependence matrix)
+  whose loop orders are enumerated like the original's; ``tile``
+  contexts are added per ladder size when tiling is asked for.
 
 Candidates are deduplicated by canonical form: the pair (canonical
 program text, matrix rows).  Two different derivations of the same
@@ -27,31 +27,22 @@ only the first representative.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import os
-
 from repro.completion.complete import complete_transformation
 from repro.dependence.analyze import analyze_dependences
 from repro.dependence.depvector import DependenceMatrix
-from repro.instance.layout import Layout, LoopCoord, Path
-from repro.ir.ast import Loop, Node, Program
+from repro.instance.layout import Layout, LoopCoord
+from repro.ir.ast import Program
 from repro.ir.printer import program_to_str
 from repro.linalg.intmat import IntMatrix
 from repro.obs import counter, event, span
-from repro.transform.distribution import (
-    _loop_at, distribute, distribution_legal, jam,
-)
-from repro.transform.matrices import (
-    permutation, reversal, skew, statement_reorder,
-)
-from repro.transform.tiling import (
-    TILE_LADDER, fuse, fuse_legal, fuse_sites, strip_mine, tiled_deps,
-)
-from repro.util.errors import CompletionError, ReproError, TransformError
+from repro.transform.distribution import _loop_at
+from repro.transform.spec import CATALOGUE, KINDS, Kind, Rewritten, skew_factors_from_deps
+from repro.transform.tiling import TILE_LADDER, loop_path_by_var, loop_paths
+from repro.util.errors import CompletionError, ReproError
 
 __all__ = [
     "Context", "Candidate", "make_context", "base_contexts",
@@ -62,14 +53,7 @@ __all__ = [
     "resolve_max_candidates", "exposes_wavefront", "wavefront_candidates",
 ]
 
-#: Upper bound on |skew factor| accepted from dependence entries.
-SKEW_FACTOR_BOUND = 2
-
-#: Child-count cap for exhaustive statement reorderings (3! - 1 = 5
-#: permutations; beyond that the space explodes factorially).
-MAX_REORDER_CHILDREN = 3
-
-#: Cap on distribution/jamming/fusion variant contexts per enumeration.
+#: Cap on distribution/fusion variant contexts per enumeration.
 MAX_STRUCTURAL_VARIANTS = 4
 
 #: Cap on strip-mined (tiled) variant contexts per enumeration — one
@@ -77,27 +61,23 @@ MAX_STRUCTURAL_VARIANTS = 4
 MAX_TILED_VARIANTS = 8
 
 #: Default overall candidate cap per enumeration level; overridable by
-#: ``--max-candidates`` / the REPRO_TUNE_MAX environment variable.
-#: Tiling multiplies the context count by the ladder, so an unbounded
-#: enumeration could silently blow up tune wall-clock.
+#: ``--max-candidates``.  Tiling multiplies the context count by the
+#: ladder, so an unbounded enumeration could silently blow up tune
+#: wall-clock.
 DEFAULT_MAX_CANDIDATES = 96
-
-#: Environment override for the candidate cap.
-MAX_CANDIDATES_ENV = "REPRO_TUNE_MAX"
 
 
 def resolve_max_candidates(max_candidates: int | None = None) -> int:
     """The effective candidate cap: the explicit argument, else the
-    ``REPRO_TUNE_MAX`` environment variable, else the default."""
-    if max_candidates is not None:
-        return max(1, int(max_candidates))
-    env = os.environ.get(MAX_CANDIDATES_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_CANDIDATES
+    default."""
+    if max_candidates is None:
+        return DEFAULT_MAX_CANDIDATES
+    return max(1, int(max_candidates))
+
+
+def _stage(stage: str) -> list[Kind]:
+    """The catalogue's kinds the tuner tries at ``stage``, in order."""
+    return [k for k in CATALOGUE if k.tuner == stage]
 
 
 def cap_candidates(candidates: list["Candidate"], cap: int, stage: str) -> list["Candidate"]:
@@ -111,7 +91,7 @@ def cap_candidates(candidates: list["Candidate"], cap: int, stage: str) -> list[
     event(
         "tune", "truncated",
         f"candidate cap reached at the {stage} stage; raise --max-candidates "
-        f"or {MAX_CANDIDATES_ENV} to search the dropped tail",
+        "to search the dropped tail",
         stage=stage, cap=cap, enumerated=len(candidates), dropped=dropped,
     )
     return candidates[:cap]
@@ -120,8 +100,8 @@ def cap_candidates(candidates: list["Candidate"], cap: int, stage: str) -> list[
 @dataclass(eq=False)
 class Context:
     """One program the tuner searches schedules *of*: the original, or a
-    semantically equivalent structural variant (distribution, jamming,
-    fusion, strip-mining)."""
+    semantically equivalent structural variant (distribution, fusion,
+    strip-mining)."""
 
     program: Program
     layout: Layout
@@ -180,22 +160,7 @@ def make_context(
     return Context(program, layout, deps, origin, tile)
 
 
-def loop_paths(program: Program) -> list[Path]:
-    """Paths of every loop node, preorder."""
-    out: list[Path] = []
-
-    def walk(children: Sequence[Node], path: Path) -> None:
-        for j, child in enumerate(children):
-            if isinstance(child, Loop):
-                cpath = path + (j,)
-                out.append(cpath)
-                walk(child.body, cpath)
-
-    walk(program.body, ())
-    return out
-
-
-# -- structural variants (distribution / jamming) ---------------------------
+# -- structural variants -----------------------------------------------------
 
 
 def base_contexts(
@@ -206,76 +171,36 @@ def base_contexts(
     max_variants: int = MAX_STRUCTURAL_VARIANTS,
 ) -> list[Context]:
     """The original context plus up to ``max_variants`` legal
-    distribution/jamming rewrites of it.
+    ``distribute``/``fuse`` rewrites of it, each built and judged by its
+    catalogue record — the same step ``parse_schedule`` takes for the
+    context's origin spec.
 
-    Distribution legality is the classic projection test
-    (:func:`repro.transform.distribution.distribution_legal`).  Jamming
-    is admitted through its inverse: the jammed program is kept only
-    when *distributing it back* at the fusion point is legal, which
-    proves the jammed and original programs equivalent.
+    Distribution legality is the classic projection test on the
+    original's dependences (an illegal distribution is never analysed);
+    fusion is admitted through its inverse: the fused program is kept
+    only when *distributing it back* is legal.
     """
     root = make_context(program, deps, layout=layout)
+    before = Rewritten(program, root.deps)
     contexts = [root]
     with span("tune.space.contexts", program=program.name):
-        for path in loop_paths(program):
-            node = root.layout.node_at(path)
-            assert isinstance(node, Loop)
-            for split in range(1, len(node.body)):
+        for kind in _stage("variant"):
+            for args in kind.sites(root.layout, root.deps):
                 if len(contexts) - 1 >= max_variants:
-                    break
+                    return contexts
                 try:
-                    if not distribution_legal(root.deps, path, split):
+                    after = kind.apply(before, *args)
+                    if not after.legal:
                         counter("tune.space.structural_rejected")
                         continue
-                    variant = distribute(program, path, split)
                     ctx = make_context(
-                        variant, origin=(f"distribute({_fmt_path(path)}, {split})",)
+                        after.program, after.deps, origin=(kind.render(*args),)
                     )
                 except ReproError:
                     counter("tune.space.structural_rejected")
                     continue
                 contexts.append(ctx)
-                counter("tune.space.distributions")
-        for path, split in _jam_sites(program):
-            if len(contexts) - 1 >= max_variants:
-                break
-            try:
-                jammed = jam(program, path)
-                jdeps = analyze_dependences(jammed)
-                if not distribution_legal(jdeps, path, split):
-                    counter("tune.space.structural_rejected")
-                    continue
-                ctx = make_context(
-                    jammed, jdeps, origin=(f"jam({_fmt_path(path)})",)
-                )
-            except ReproError:
-                counter("tune.space.structural_rejected")
-                continue
-            contexts.append(ctx)
-            counter("tune.space.jams")
-        # fusion: distribution contexts run in reverse, generalized to
-        # headers matching up to a constant offset (tiling.fuse); exact
-        # jam sites were handled above, so skip them here
-        jam_paths = {p for p, _ in _jam_sites(program)}
-        for path in fuse_sites(program):
-            if path in jam_paths:
-                continue
-            if len(contexts) - 1 >= max_variants:
-                break
-            try:
-                fused = fuse(program, path)
-                fdeps = analyze_dependences(fused)
-                if not fuse_legal(program, path, fused=fused, fused_deps=fdeps):
-                    counter("tune.space.structural_rejected")
-                    continue
-                ctx = make_context(
-                    fused, fdeps, origin=(f"fuse({_fmt_path(path)})",)
-                )
-            except ReproError:
-                counter("tune.space.structural_rejected")
-                continue
-            contexts.append(ctx)
-            counter("tune.space.fusions")
+                counter(f"tune.space.{kind.name}_contexts")
     return contexts
 
 
@@ -298,60 +223,30 @@ def tiled_contexts(
     dependence-memo hit after the base contexts) by
     :func:`~repro.transform.tiling.tiled_deps`.
     """
-    deps = analyze_dependences(program)
+    before = Rewritten(program)
     out: list[Context] = []
+    failed = set()  # a loop that cannot be strip-mined fails for every size
     with span("tune.space.tiled", program=program.name):
-        for path in loop_paths(program):
-            for size in tile_sizes:
+        for kind in _stage("tiled"):
+            for ref, size in kind.sites(before.deps.layout, before.deps, sizes=tile_sizes):
                 if len(out) >= max_variants:
                     return out
+                if ref in failed:
+                    continue
                 try:
-                    variant = strip_mine(program, path, size)
-                except TransformError:
-                    counter("tune.space.tiles_rejected")
-                    break  # same loop fails for every size
-                var = _loop_at(program, path).var
-                try:
+                    after = kind.apply(before, ref, size)
+                    path = loop_path_by_var(program, ref)
                     ctx = make_context(
-                        variant,
-                        tiled_deps(program, path, size, deps, variant),
-                        origin=(f"tile({var},{size})",),
-                        tile=(_loop_at(variant, path).var, size),
+                        after.program, after.deps, origin=(kind.render(ref, size),),
+                        tile=(_loop_at(after.program, path).var, size),
                     )
                 except ReproError:
+                    failed.add(ref)
                     counter("tune.space.tiles_rejected")
                     continue
                 out.append(ctx)
-                counter("tune.space.tiles")
+                counter(f"tune.space.{kind.name}_contexts")
     return out
-
-
-def _jam_sites(program: Program) -> list[tuple[Path, int]]:
-    """(path, split) pairs where adjacent sibling loops share a header:
-    jamming at ``path`` fuses it with its next sibling, and ``split``
-    is where distribution would cut the fused body back apart."""
-    sites: list[tuple[Path, int]] = []
-
-    def walk(children: Sequence[Node], path: Path) -> None:
-        for j, child in enumerate(children):
-            if not isinstance(child, Loop):
-                continue
-            cpath = path + (j,)
-            nxt = children[j + 1] if j + 1 < len(children) else None
-            if (
-                isinstance(nxt, Loop)
-                and (child.var, child.lower, child.upper, child.step)
-                == (nxt.var, nxt.lower, nxt.upper, nxt.step)
-            ):
-                sites.append((cpath, len(child.body)))
-            walk(child.body, cpath)
-
-    walk(program.body, ())
-    return sites
-
-
-def _fmt_path(path: Path) -> str:
-    return ".".join(map(str, path)) or "root"
 
 
 # -- per-context candidates -------------------------------------------------
@@ -435,105 +330,23 @@ def blocked_lead_candidates(ctx: Context) -> list[Candidate]:
     return out
 
 
-def skew_factors_from_deps(
-    deps: DependenceMatrix, *, bound: int = SKEW_FACTOR_BOUND
-) -> tuple[int, ...]:
-    """Skew factors seeded from the finite constants of the dependence
-    matrix: a dependence entry ``c`` at a loop position suggests ``±c``
-    (a skew by ``-c`` is what straightens that component out)."""
-    factors = {1, -1}
-    for d in deps:
-        for e in d.entries:
-            for v in (e.lo, e.hi):
-                if isinstance(v, int) and v != 0 and abs(v) <= bound:
-                    factors.add(v)
-                    factors.add(-v)
-    return tuple(sorted(factors))
-
-
-def _nested_pairs(layout: Layout) -> list[tuple[LoopCoord, LoopCoord]]:
-    """(ancestor, descendant) loop-coordinate pairs — the pairs where
-    interchange and skewing are structurally meaningful."""
-    coords = layout.loop_coords()
+def _step_candidates(ctx: Context, kind: Kind) -> list[Candidate]:
     out = []
-    for a in coords:
-        for b in coords:
-            if a is b:
-                continue
-            if b.path[: len(a.path)] == a.path and len(b.path) > len(a.path):
-                out.append((a, b))
+    for args in kind.sites(ctx.layout, ctx.deps):
+        try:
+            t = kind.matrix(ctx.layout, *args)
+        except ReproError:
+            continue
+        out.append(Candidate(ctx, t.matrix, (kind.render(*args),), kind.name))
     return out
 
 
-def elementary_candidates(
-    ctx: Context,
-    *,
-    skew_factors: Iterable[int] | None = None,
-    max_reorder_children: int = MAX_REORDER_CHILDREN,
-) -> list[Candidate]:
-    """Single-step §4.1/§4.2 candidates over one context: interchanges
-    and skews of nested loop pairs, reversals, statement reorderings.
-    Inexpressible constructions are skipped, not errors."""
-    layout = ctx.layout
-    out: list[Candidate] = []
-    pairs = _nested_pairs(layout)
-    if skew_factors is None:
-        skew_factors = skew_factors_from_deps(ctx.deps)
-
-    for a, b in pairs:
-        try:
-            t = permutation(layout, a.path, b.path)
-        except ReproError:
-            continue
-        out.append(
-            Candidate(ctx, t.matrix, (f"permute({a.var},{b.var})",), "permute")
-        )
-
-    for c in layout.loop_coords():
-        try:
-            t = reversal(layout, c.path)
-        except ReproError:
-            continue
-        out.append(Candidate(ctx, t.matrix, (f"reverse({c.var})",), "reverse"))
-
-    for a, b in pairs:
-        for f in skew_factors:
-            for tgt, src in ((a, b), (b, a)):
-                try:
-                    t = skew(layout, tgt.path, src.path, f)
-                except ReproError:
-                    continue
-                out.append(
-                    Candidate(
-                        ctx, t.matrix,
-                        (f"skew({tgt.var},{src.var},{f})",), "skew",
-                    )
-                )
-
-    for parent in [(), *loop_paths(ctx.program)]:
-        try:
-            children = (
-                ctx.program.body if not parent else ctx.layout.node_at(parent).body  # type: ignore[union-attr]
-            )
-        except ReproError:
-            continue
-        c = len(children)
-        if c < 2 or c > max_reorder_children:
-            continue
-        for perm in itertools.permutations(range(c)):
-            if list(perm) == list(range(c)):
-                continue
-            try:
-                t, _ = statement_reorder(layout, parent, list(perm))
-            except ReproError:
-                continue
-            out.append(
-                Candidate(
-                    ctx, t.matrix,
-                    (f"reorder({_fmt_path(parent)}, {perm})",), "reorder",
-                )
-            )
-    return out
+def elementary_candidates(ctx: Context) -> list[Candidate]:
+    """Single-step candidates over one context: every linear kind of the
+    catalogue at its tuner sites (interchanges and skews of nested loop
+    pairs, reversals, statement reorderings).  Inexpressible
+    constructions are skipped, not errors."""
+    return [c for kind in _stage("step") for c in _step_candidates(ctx, kind)]
 
 
 def exposes_wavefront(layout: Layout, matrix, deps: DependenceMatrix) -> bool:
@@ -560,12 +373,11 @@ def wavefront_candidates(ctx: Context) -> list[Candidate]:
     *before* :func:`elementary_candidates` in enumeration order so
     :func:`dedupe` (which keeps first occurrences) retains the
     wavefront tag over the plain skew duplicate."""
-    out: list[Candidate] = []
-    for cand in elementary_candidates(ctx):
-        if cand.kind != "skew":
-            continue
-        if exposes_wavefront(ctx.layout, cand.matrix, ctx.deps):
-            out.append(Candidate(ctx, cand.matrix, cand.steps, "wavefront"))
+    out = [
+        Candidate(ctx, cand.matrix, cand.steps, "wavefront")
+        for cand in _step_candidates(ctx, KINDS["skew"])
+        if exposes_wavefront(ctx.layout, cand.matrix, ctx.deps)
+    ]
     if out:
         counter("tune.space.wavefront_candidates", len(out))
     return out
@@ -614,7 +426,7 @@ def enumerate_candidates(
     """The full level-1 candidate set: the default order, every
     completed loop order, every elementary transformation of the
     original program, loop orders of each legal structural
-    (distribution/jamming/fusion) variant, and — when ``tile_sizes`` is
+    (distribution/fusion) variant, and — when ``tile_sizes`` is
     given — identity, loop orders, and blocked two-row orders of every
     strip-mined variant.  With ``wavefront=True`` (the driver sets it
     for the ``source-par`` backend), skew candidates that expose a DOALL

@@ -15,7 +15,7 @@ from repro.fuzz.sample import SHAPE_WEIGHTS, sample_spec
 from repro.instance import Layout
 from repro.ir import parse_program
 from repro.kernels import random_program
-from repro.transform.spec import STRUCTURAL_OPS, parse_schedule, parse_spec, spec_ops
+from repro.transform.spec import CATALOGUE, parse_schedule, parse_spec, spec_ops
 
 
 def _src_path() -> str:
@@ -81,6 +81,7 @@ class TestCoverage:
 
     def test_structural_ops_appear_in_stream(self):
         """tile and fuse must both show up in a modest stream prefix."""
+        drawn = {k.name for k in CATALOGUE if k.structural and k.draws}
         seen = set()
         for i in range(300):
             case = sample_case(5, i)
@@ -88,9 +89,9 @@ class TestCoverage:
                 continue
             for op in spec_ops(case.spec):
                 name = op.split("(", 1)[0]
-                if name in STRUCTURAL_OPS:
+                if name in drawn:
                     seen.add(name)
-            if seen == set(STRUCTURAL_OPS):
+            if seen == drawn:
                 break
         assert seen == {"tile", "fuse"}
 

@@ -8,7 +8,10 @@ simplified output, which is now the only output, the explain-only
 restructuring completion search, the process pool that spread
 dependence analysis over conflicting pairs, or the second copies of a
 rule (program canonicaliser, positivity test, trace dependence scan,
-fusion-site finder) and the daemon's shard-bound variable."""
+fusion-site finder) and the daemon's shard-bound variable, or the
+second descriptions of a transformation kind that the catalogue
+replaced (``jam``, which is ``fuse`` at offset 0, the sampler's and the
+parser's own op tables, the tuner's candidate-cap variable)."""
 
 from __future__ import annotations
 
@@ -41,6 +44,10 @@ DELETED = (
     "_canonical" "_text", "_definitely" "_carried", "_definitely" "_lex_positive",
     "ground_truth" "_dependences", "_fuse" "_vars", "_fuse" "_sites",
     "REPRO_" "SERVICE_SHARDS", "Candidate." "_text", "CaseResult." "oracle",
+    # `jam` as a name, not the paper's "jamming"
+    "`ja" "m`", "ja" "m(", "distribution." "jam", "_jam" "_sites", "tune.space." "jams",
+    "_sample" "_op", "_sample" "_structural", "_OP" "_WEIGHTS", "STRUCTURAL" "_OPS",
+    "MAX_CANDIDATES" "_ENV", "REPRO_" "TUNE_MAX",
 )
 
 

@@ -1,4 +1,5 @@
-"""§4.2 distribution/jamming — matrices and AST rewrites."""
+"""§4.2 distribution/jamming — matrices and AST rewrites (jamming is
+``fuse`` at offset 0)."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro.dependence import analyze_dependences
 from repro.interp import ArrayStore, execute, outputs_close
 from repro.ir import Loop, parse_program
 from repro.transform import (
-    distribute, distribution_legal, distribution_matrix, jam, jamming_matrix,
+    distribute, distribution_legal, distribution_matrix, fuse, jamming_matrix,
 )
 from repro.util.errors import TransformError
 
@@ -26,17 +27,20 @@ class TestDistributeAST:
 
     def test_jam_restores(self, simp_chol):
         p2 = distribute(simp_chol, (0,), 1)
-        p3 = jam(p2, (0,))
+        p3 = fuse(p2, (0,))
         assert str(p3) == str(simp_chol)
 
     def test_jam_header_mismatch_rejected(self):
+        # lower bounds differ by 1, upper bounds by 0: no constant offset
         p = parse_program(
             "param N\nreal A(N)\n"
             "do I = 1..N\n S1: A(I) = 1.0\nenddo\n"
             "do I = 2..N\n S2: A(I) = 2.0\nenddo"
         )
-        with pytest.raises(TransformError):
-            jam(p, (0,))
+        with pytest.raises(TransformError, match="one constant offset"):
+            fuse(p, (0,))
+        with pytest.raises(TransformError, match="one header"):
+            jamming_matrix(p, (0,))
 
     def test_distribute_semantics_when_legal(self):
         p = parse_program(

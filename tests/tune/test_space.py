@@ -45,8 +45,9 @@ class TestEnumeration:
 
 class TestStructuralVariants:
     def test_jam_variant_for_sweep_pair(self):
+        # jamming is fuse at offset 0: the two one-header loops fuse
         origins = [c.origin for c in base_contexts(sweep_pair())]
-        assert ("jam(0)",) in origins
+        assert ("fuse(0)",) in origins
 
     def test_distribution_variants_for_gemver(self):
         origins = [c.origin for c in base_contexts(gemver_like())]
@@ -111,7 +112,7 @@ class TestCandidateIdentity:
     def test_description_includes_origin(self):
         ctx = base_contexts(sweep_pair())[1]
         cand = identity_candidate(ctx)
-        assert cand.description == "jam(0)"
+        assert cand.description == "fuse(0)"
 
     def test_canonical_key_distinguishes_contexts(self):
         ctxs = base_contexts(sweep_pair())
