@@ -43,7 +43,7 @@ from repro.linalg.intmat import IntMatrix
 from repro.obs import counter, span, timed
 from repro.polyhedra.affine import LinExpr, var
 from repro.polyhedra.bounds import Bound, LoopBounds, extract_bounds
-from repro.polyhedra.constraint import Constraint, eq, ge0
+from repro.polyhedra.constraint import Constraint, ge0
 from repro.polyhedra.system import System
 from repro.util.errors import CodegenError, PolyhedronError
 
@@ -255,11 +255,11 @@ def generate_code(
 
         # scanning polyhedron over the new names
         domain = statement_domain(program, label, _OLD)
-        equalities = []
         old_rename = {v: _OLD + v for v in ps.old_vars}
-        for nm, e in zip(names, exprs):
-            equalities.append(eq(var(nm), e.rename(old_rename)))
-        combined = domain.conjoin(System(equalities))
+        combined = domain.conjoin(System.from_terms(
+            (True, [(nm, 1)] + [(old_rename.get(n, n), -c) for n, c in e.terms()], -e.constant)
+            for nm, e in zip(names, exprs)
+        ))
         with span("codegen.project", stmt=label):
             scan, exact = combined.project_onto(list(program.params) + names)
         counter("codegen.statements_planned")

@@ -22,8 +22,7 @@ from repro.ir.ast import BoundSet, Program, Statement
 from repro.ir.expr import ArrayRef, VarRef
 from repro.obs import counter, span
 from repro.polyhedra import engine as _engine
-from repro.polyhedra.affine import LinExpr, var
-from repro.polyhedra.constraint import eq, ge, le
+from repro.polyhedra.affine import LinExpr
 from repro.polyhedra.system import Feasibility, System
 from repro.util.errors import DependenceError, PolyhedronError
 
@@ -97,7 +96,7 @@ def statement_domain(program: Program, label: str, prefix: str = "") -> System:
     are conjunctions of their terms.  Hull bounds (disjunctive unions
     from code generation) stay out of scope.
     """
-    constraints = []
+    rows = []
     rename: dict[str, str] = {}
     for loop in program.enclosing_loops(label):
         if loop.step != 1:
@@ -110,17 +109,13 @@ def statement_domain(program: Program, label: str, prefix: str = "") -> System:
                 "per-statement (BoundSet) bounds"
             )
         v = prefix + loop.var
-        vv = var(v)
-        for term in loop.lower.terms:
-            # v >= ceil(e/d)  <=>  d*v >= e  (d >= 1, integer v)
-            lhs = vv if term.div == 1 else vv * term.div
-            constraints.append(ge(lhs, term.expr.rename(rename)))
-        for term in loop.upper.terms:
-            # v <= floor(e/d)  <=>  d*v <= e
-            lhs = vv if term.div == 1 else vv * term.div
-            constraints.append(le(lhs, term.expr.rename(rename)))
+        # v >= ceil(e/d)  <=>  d*v - e >= 0;  v <= floor(e/d)  <=>  e - d*v >= 0
+        for bound, sign in ((loop.lower, -1), (loop.upper, 1)):
+            for t in bound.terms:
+                rows.append((False, _renamed(t.expr, rename, sign) + [(v, -sign * t.div)],
+                             sign * t.expr.constant))
         rename[loop.var] = v
-    return System(constraints)
+    return System.from_terms(rows)
 
 
 def iter_conflicting_pairs(program: Program) -> Iterator[tuple[AccessInfo, AccessInfo, str]]:
@@ -192,54 +187,72 @@ def analyze_dependences(
 def _analyze(program: Program, layout: Layout, base_assume: System) -> DependenceMatrix:
     """The real §3 analysis behind :func:`analyze_dependences`' memo."""
     matrix = DependenceMatrix(layout)
-    sides = _statement_sides(program)
+    sides = _statement_sides(program, layout)
+    frames: dict[tuple[str, str], tuple] = {}
     for src_acc, dst_acc, kind in iter_conflicting_pairs(program):
-        for dep in _pair_vectors(
-            program, layout, sides, src_acc, dst_acc, kind, base_assume
-        ):
+        labels = (src_acc.stmt.label, dst_acc.stmt.label)
+        frame = frames.get(labels)
+        if frame is None:
+            frame = frames[labels] = _frame(program, layout, sides, *labels, base_assume)
+        for dep in _pair_vectors(frame, src_acc, dst_acc, kind):
             matrix.add(dep)
     return matrix
 
 
-def _statement_sides(program: Program) -> dict[str, tuple[tuple[System, dict[str, str]], ...]]:
-    """Per-analysis table ``label -> ((src_domain, src_rename),
-    (dst_domain, dst_rename))``: a statement's iteration domain and
-    loop-variable rename map as the source and as the destination of a
-    dependence.
-
-    A statement takes part in many conflicting pairs (cholesky: 4
-    statements, 61 pairs) and neither its domain nor its renaming
-    depends on the partner, so each is built once per analysis (every
-    statement writes, hence pairs at least with itself).  The table
-    lives for one analysis and is passed down.
-    """
+def _statement_sides(program: Program, layout: Layout) -> dict[str, tuple[tuple, ...]]:
+    """Per-analysis table ``label -> (src_side, dst_side)``, each side a
+    statement's ``(domain, rename, vector)`` in that role: its iteration
+    domain, its loop-variable rename map, and its symbolic instance
+    vector over the renamed variables.  Neither depends on the partner
+    statement, so each is built once per analysis."""
     sides = {}
     for stmt in program.statements():
         loop_vars = program.loop_vars(stmt.label)
-        sides[stmt.label] = tuple(
-            (statement_domain(program, stmt.label, prefix), {v: prefix + v for v in loop_vars})
-            for prefix in (_SRC, _DST)
-        )
+        sym = symbolic_vector(layout, stmt.label)
+        roles = []
+        for prefix in (_SRC, _DST):
+            rename = {v: prefix + v for v in loop_vars}
+            roles.append((statement_domain(program, stmt.label, prefix), rename,
+                          tuple(e.rename(rename) for e in sym)))
+        sides[stmt.label] = tuple(roles)
     return sides
 
 
-def _pair_vectors(
-    program: Program,
-    layout: Layout,
-    sides: dict,
-    src_acc: AccessInfo,
-    dst_acc: AccessInfo,
-    kind: str,
-    base_assume: System,
-) -> list[DepVector]:
+def _frame(
+    program: Program, layout: Layout, sides: dict, s_label: str, d_label: str, assume: System
+) -> tuple:
+    """What every conflicting access pair of one ordered statement pair
+    shares (cholesky: 4 statements, 61 access pairs): the renames, the
+    two domains under the assumptions, the precedence cases, and per
+    coordinate of ``L(dst) - L(src)`` either its constant value or the
+    one-row system pinning ``Δ`` to it."""
+    (s_domain, s_rename, s_vec), _ = sides[s_label]
+    _, (d_domain, d_rename, d_vec) = sides[d_label]
+    deltas: list[int | System] = []
+    for coord, s_e, d_e in zip(layout.coords, s_vec, d_vec):
+        diff = d_e - s_e
+        if diff.is_constant():
+            deltas.append(diff.constant)
+            continue
+        if isinstance(coord, EdgeCoord):  # pragma: no cover - edges are constants
+            raise DependenceError("edge coordinate difference should be constant")
+        deltas.append(System.from_terms(
+            [(True, [(_DELTA, 1)] + _renamed(diff, {}, -1), -diff.constant)]))
+    cases = list(_precedence_cases(
+        program, s_label, d_label, layout.common_loop_coords(s_label, d_label)))
+    domains = s_domain.conjoin(d_domain).conjoin(assume)
+    return s_rename, d_rename, domains, cases, deltas
+
+
+def _renamed(expr: LinExpr, rename: dict[str, str], sign: int = 1) -> list[tuple[str, int]]:
+    return [(rename.get(n, n), sign * c) for n, c in expr.terms()]
+
+
+def _pair_vectors(frame: tuple, src_acc: AccessInfo, dst_acc: AccessInfo, kind: str) -> list[DepVector]:
     """All dependence vectors of one conflicting access pair: build the
     §3 affine system per precedence case, decide feasibility, summarize."""
     counter("dependence.pairs_tested")
-    s_label = src_acc.stmt.label
-    d_label = dst_acc.stmt.label
-    (s_domain, s_rename), _ = sides[s_label]
-    _, (d_domain, d_rename) = sides[d_label]
-    base = s_domain.conjoin(d_domain).conjoin(base_assume)
+    s_rename, d_rename, domains, cases, deltas = frame
     # subscript equality (same array location)
     subs_s = src_acc.subscripts()
     subs_d = dst_acc.subscripts()
@@ -247,19 +260,17 @@ def _pair_vectors(
         raise DependenceError(
             f"rank mismatch on array {src_acc.array}: {len(subs_s)} vs {len(subs_d)}"
         )
-    for es, ed in zip(subs_s, subs_d):
-        base = base.and_(eq(es.rename(s_rename), ed.rename(d_rename)))
+    base = domains.conjoin(System.from_terms(
+        (True, _renamed(es, s_rename) + _renamed(ed, d_rename, -1), es.constant - ed.constant)
+        for es, ed in zip(subs_s, subs_d)
+    ))
     if base.is_trivially_false():
         counter("dependence.pairs_pruned")
         return []
 
     out: list[DepVector] = []
-    common = layout.common_loop_coords(s_label, d_label)
-    for case in _precedence_cases(program, s_label, d_label, common):
-        if case is None:
-            continue
+    for level_var, case_sys in cases:
         counter("dependence.cases_tested")
-        level_var, case_sys = case
         system = base.conjoin(case_sys)
         feas = system.feasible()
         if feas is Feasibility.INFEASIBLE:
@@ -267,58 +278,37 @@ def _pair_vectors(
             continue
         if feas is Feasibility.UNKNOWN:
             counter("dependence.cases_unknown")
-        dep = _summarize(
-            layout, s_label, d_label, s_rename, d_rename, system, kind, level_var, src_acc.array
-        )
-        if dep is not None:
-            counter("dependence.vectors")
-            out.append(dep)
+        counter("dependence.vectors")
+        out.append(DepVector(
+            src_acc.stmt.label, dst_acc.stmt.label, _summarize(system, deltas),
+            kind, level_var, src_acc.array))
     return out
 
 
 def _precedence_cases(
     program: Program, s_label: str, d_label: str, common: list[LoopCoord]
 ):
-    """Yield (level_name, constraints) for each carried level, plus the
+    """Yield (level_name, system) for each carried level, plus the
     loop-independent case when syntactic order allows it."""
-    vars_ = [c.var for c in common]
-    for k, ck in enumerate(vars_):
-        cs = [eq(var(_SRC + v), var(_DST + v)) for v in vars_[:k]]
-        cs.append(le(var(_SRC + ck) + 1, var(_DST + ck)))
-        yield ck, System(cs)
+    same = [(True, [(_SRC + c.var, 1), (_DST + c.var, -1)], 0) for c in common]
+    for k, ck in enumerate(common):
+        later = (False, [(_DST + ck.var, 1), (_SRC + ck.var, -1)], -1)
+        yield ck.var, System.from_terms(same[:k] + [later])
     # loop-independent: same common iteration; requires strict syntactic order
     if s_label != d_label and program.syntactically_before(s_label, d_label):
-        cs = [eq(var(_SRC + v), var(_DST + v)) for v in vars_]
-        yield None, System(cs)
+        yield None, System.from_terms(same)
 
 
-def _summarize(
-    layout: Layout,
-    s_label: str,
-    d_label: str,
-    s_rename: dict[str, str],
-    d_rename: dict[str, str],
-    system: System,
-    kind: str,
-    level: str | None,
-    array: str,
-) -> DepVector | None:
+def _summarize(system: System, deltas: list) -> tuple[DepEntry, ...]:
     """Summarize ``L(dst) - L(src)`` per coordinate over the system."""
-    s_sym = symbolic_vector(layout, s_label)
-    d_sym = symbolic_vector(layout, d_label)
-
     entries: list[DepEntry] = []
-    for i, coord in enumerate(layout.coords):
-        diff = d_sym[i].rename(d_rename) - s_sym[i].rename(s_rename)
-        if diff.is_constant():
-            entries.append(DepEntry.const(diff.constant))
+    for delta in deltas:
+        if isinstance(delta, int):
+            entries.append(DepEntry.const(delta))
             continue
-        if isinstance(coord, EdgeCoord):  # pragma: no cover - edges are constants
-            raise DependenceError("edge coordinate difference should be constant")
-        probe = system.and_(eq(var(_DELTA), diff))
         try:
-            lo, hi = probe.var_range(_DELTA)
+            lo, hi = system.conjoin(delta).var_range(_DELTA)
         except PolyhedronError:
             lo, hi = None, None
         entries.append(DepEntry(NEG_INF if lo is None else lo, POS_INF if hi is None else hi))
-    return DepVector(s_label, d_label, tuple(entries), kind, level, array)
+    return tuple(entries)

@@ -102,27 +102,23 @@ def extract_bounds(
             raise PolyhedronError("polyhedron is empty; no loop bounds")
         lowers: list[Bound] = []
         uppers: list[Bound] = []
-        for c in projected:
-            a = c.coefficient(v)
+        for is_eq, terms, k in projected.terms():
+            coeffs = dict(terms)
+            a = coeffs.pop(v, 0)
             if a == 0:
                 continue
-            bad = c.expr.variables() - allowed - {v}
+            bad = coeffs.keys() - allowed
             if bad:
                 raise PolyhedronError(
                     f"bound for {v} references non-outer variables {sorted(bad)}"
                 )
-            rest = c.expr - LinExpr({v: a})
-            if c.is_equality():
-                if a > 0:
-                    lowers.append(Bound(-rest, a, True))
-                    uppers.append(Bound(-rest, a, False))
-                else:
-                    lowers.append(Bound(rest, -a, True))
-                    uppers.append(Bound(rest, -a, False))
-            elif a > 0:  # a*v + rest >= 0  ->  v >= ceil(-rest / a)
-                lowers.append(Bound(-rest, a, True))
-            else:  # v <= floor(rest / -a)
-                uppers.append(Bound(rest, -a, False))
+            # a*v + rest (== | >=) 0:  v >= ceil(-rest / a) for a > 0,
+            # v <= floor(rest / -a) for a < 0; an equality bounds both ways
+            e = LinExpr(coeffs, k) if a < 0 else LinExpr({n: -c for n, c in coeffs.items()}, -k)
+            if is_eq or a > 0:
+                lowers.append(Bound(e, abs(a), True))
+            if is_eq or a < 0:
+                uppers.append(Bound(e, abs(a), False))
         out.append(LoopBounds(v, _dedup(lowers), _dedup(uppers)))
         allowed.add(v)
     return out

@@ -20,7 +20,7 @@ __all__ = ["Constraint", "ge0", "eq0", "le", "ge", "eq"]
 class Constraint:
     """``expr >= 0`` (kind ``'>='``) or ``expr == 0`` (kind ``'=='``)."""
 
-    __slots__ = ("expr", "kind", "_key")
+    __slots__ = ("expr", "kind")
 
     GE = ">="
     EQ = "=="
@@ -30,7 +30,6 @@ class Constraint:
             raise PolyhedronError(f"unknown constraint kind {kind!r}")
         self.expr = _normalize(expr, kind)
         self.kind = kind
-        self._key: tuple | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -54,17 +53,6 @@ class Constraint:
         v = self.expr.eval(env)
         return v == 0 if self.is_equality() else v >= 0
 
-    def coefficient(self, name: str) -> int:
-        return self.expr[name]
-
-    def key(self) -> tuple:
-        """Canonical hashable form ``(kind, expr-key)``; constraints are
-        normalized on construction, so equal constraints share a key."""
-        k = self._key
-        if k is None:
-            k = self._key = (self.kind, self.expr.key())
-        return k
-
     # -- transformation ----------------------------------------------------
 
     def substitute(self, name: str, replacement: LinExpr) -> "Constraint":
@@ -87,8 +75,8 @@ class Constraint:
             return NotImplemented
         return self.kind == other.kind and self.expr == other.expr
 
-    def __hash__(self) -> int:
-        return hash(self.key())
+    def __hash__(self) -> int:  # normalized on construction: equal constraints hash alike
+        return hash((self.kind, self.expr.key()))
 
     def __repr__(self) -> str:
         return f"Constraint({self.expr!s} {self.kind} 0)"

@@ -1,38 +1,36 @@
 """Memoizing polyhedral query engine.
 
 Fourier–Motzkin elimination, projection and feasibility are pure
-functions of an (immutable) :class:`~repro.polyhedra.system.System`, so
-their results can be shared across the whole pipeline: dependence
-analysis re-tests closely related systems for every precedence case,
-legality/completion re-project the same iteration domains, and the
-loop-order search replays dependence analysis wholesale.  This module
-provides the process-wide bounded LRU those layers share.
+functions of an immutable :class:`~repro.polyhedra.system.System`, so
+their results are shared across the pipeline through this process-wide
+bounded LRU: dependence analysis re-tests closely related systems for
+every precedence case, legality and codegen re-project the same
+iteration domains, and the tuner replays whole analyses.
 
-The cache is keyed on the *canonical form* of a system
-(:meth:`System.canonical_key` — sorted constraint keys, order
-insensitive) plus the operation and its arguments, so structurally
-equal systems hit regardless of construction order.  Values are
-immutable ``System``/:class:`Feasibility` results and are shared
-between callers.
+A key is the operation, the system's canonical form
+(:meth:`System.canonical_key`: its interned-id columns and the set of
+its integer rows, so construction order does not matter) and the
+operation's arguments: ``("elim", key, var_id)`` per elimination step,
+``("proj", key, kept_ids, dark_shadow)`` and ``("feas", key)``.  Ids
+are per process, like the cache.  Values are immutable ``System`` /
+:class:`Feasibility` results shared between callers.
 
 The engine also owns the **dependence memo**: a second, small bounded
-table holding the result of a whole §3 dependence analysis per distinct
-program (:func:`repro.dependence.analyze_dependences` builds the key and
-stores an immutable tuple of dependence vectors).  One compile asks for
-the dependences of the same program from half a dozen layers; only the
-first asks the FM cache anything.  The table is separate so that an
-analysis never competes with FM results for LRU slots.
+table holding one whole §3 analysis per distinct program
+(:func:`repro.dependence.analyze_dependences` builds the key and stores
+an immutable tuple of dependence vectors).  One compile asks for the
+dependences of the same program from half a dozen layers; only the
+first asks the FM cache anything.  The table is separate so an analysis
+never competes with FM results for LRU slots.
 
 Observability: every FM lookup bumps ``fm.cache_hits`` or
-``fm.cache_misses`` and every LRU ejection bumps ``fm.cache_evictions``
-through :mod:`repro.obs` (no-ops when no session is installed); the
-same totals are always available via :func:`cache_stats`.  Dependence
-memo lookups are counted by their caller as ``dependence.memo_hits`` /
-``dependence.memo_misses`` and never touch the ``fm.*`` totals, so the
-FM hit rate keeps meaning "FM lookups".
+``fm.cache_misses`` and every LRU ejection ``fm.cache_evictions``
+(no-ops without an obs session); :func:`cache_stats` always has the
+same totals.  Dependence memo lookups are counted by their caller as
+``dependence.memo_hits`` / ``dependence.memo_misses`` and never touch
+the ``fm.*`` totals.
 
-Control knobs (each governs the FM cache *and* the dependence memo —
-there is no separate switch for the memo)::
+Control knobs (each governs the FM cache *and* the dependence memo)::
 
     from repro.polyhedra import engine
     engine.configure(maxsize=16384)     # resize the FM cache (clears both tables)
@@ -41,13 +39,11 @@ there is no separate switch for the memo)::
     with engine.cache_disabled():       # oracle mode for tests: every
         ...                             # analysis and every FM query is real
 
-Environment variables ``REPRO_FM_CACHE`` (``0``/``false`` disables both
-tables) and ``REPRO_FM_CACHE_SIZE`` (FM entry count) set the initial
-configuration; the dependence memo's bound is a constant.  The engine is
-thread-safe (the loop-order search queries it from a thread pool; two
-threads that miss on the same program both analyse it, and the second
-store wins) and per-process (worker processes of the dependence fan-out
-each warm their own).
+``REPRO_FM_CACHE`` (``0``/``false`` disables both tables) and
+``REPRO_FM_CACHE_SIZE`` (FM entry count) set the initial configuration;
+the dependence memo's bound is a constant.  The engine is thread-safe
+(two threads that miss on the same program both analyse it, and the
+second store wins) and per process (worker processes warm their own).
 """
 
 from __future__ import annotations
@@ -177,10 +173,6 @@ class QueryEngine:
         with self._lock:
             self._data.clear()
             self._analyses.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
 
     def stats(self) -> EngineStats:
         with self._lock:

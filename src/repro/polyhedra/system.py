@@ -1,26 +1,41 @@
 """Constraint systems (rational polyhedra with integer semantics).
 
-A :class:`System` is a conjunction of :class:`~repro.polyhedra.constraint.Constraint`
-objects.  It supports Fourier–Motzkin variable elimination with integer
-tightening, exactness tracking, feasibility queries and integer point
-search — the "omega-lite" substrate standing in for the Omega toolkit
-the paper uses for dependence analysis.
+A :class:`System` is a conjunction of linear constraints stored the way
+the Omega test stores them (Pugh, *The Omega test*, SC 1991): as integer
+rows.  Variable names are interned once per process into small ids; a
+system keeps the sorted ids that occur in it (its *columns*) and one
+``(is_equality, row)`` pair per constraint, the row holding the column
+coefficients and then the constant: ``2*i - N + 3 >= 0`` over columns
+``(i, N)`` is ``(False, (2, -1, 3))``.  Normalisation, deduplication,
+the memo key and every Fourier–Motzkin step are tuple arithmetic.
+:class:`~repro.polyhedra.constraint.Constraint` is the IR-boundary type:
+systems are built from constraints or from ``(is_equality, terms,
+constant)`` triples, and readers get constraint views built on first use.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import threading
 import time
-from typing import Iterable, Mapping, Sequence
+from math import gcd
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.obs import counter, current_session, histogram
+from repro.obs import counter, current_session, event, histogram
 from repro.polyhedra import engine as _engine
 from repro.polyhedra.affine import LinExpr
-from repro.polyhedra.constraint import Constraint, ge0
+from repro.polyhedra.constraint import Constraint
 from repro.util.errors import PolyhedronError
 
-__all__ = ["System", "Feasibility"]
+__all__ = ["System", "Feasibility", "FM_ROW_BUDGET"]
+
+#: Work budget of a feasibility query: the most constraints one of its
+#: elimination steps may produce.  A step over it makes the query
+#: :data:`Feasibility.UNKNOWN` (read as "dependent" by dependence
+#: analysis), uncached.  The zoo's and the fuzz stream's largest step is
+#: a few dozen constraints.
+FM_ROW_BUDGET = 4096
 
 
 class Feasibility(enum.Enum):
@@ -36,59 +51,145 @@ class Feasibility(enum.Enum):
         )
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+class _OverBudget(Exception):
+    """An elimination step of a feasibility query exceeded :data:`FM_ROW_BUDGET`."""
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+_IDS: dict[str, int] = {}  # the process-wide variable order
+_NAMES: list[str] = []
+_INTERN_LOCK = threading.Lock()
 
 
-def _fm_clock() -> int | None:
-    """``perf_counter_ns`` when an obs session is live, else ``None`` —
-    the FM latency histograms cost nothing when nobody is listening."""
-    return time.perf_counter_ns() if current_session() is not None else None
+def _intern(name: str) -> int:
+    with _INTERN_LOCK:
+        i = _IDS.get(name)
+        if i is None:
+            i = _IDS[name] = len(_NAMES)
+            _NAMES.append(name)
+    return i
 
 
-def _fm_record(name: str, t0: int | None) -> None:
+def _memo(key, compute, timed: bool = False):
+    """``compute()`` through the query engine under ``key()`` (stored
+    unless it raises).  A timed query adds its latency to ``fm.query_ns``,
+    or to ``fm.cache_hit_ns`` when the engine answered; the histograms
+    cost nothing when no obs session is listening."""
+    t0 = time.perf_counter_ns() if timed and current_session() is not None else None
+    eng = _engine.active()
+    k = key() if eng is not None else None
+    value = _engine.MISS if eng is None else eng.get(k)
+    hit = value is not _engine.MISS
+    if not hit:
+        value = compute()
+        if eng is not None:
+            eng.put(k, value)
     if t0 is not None:
-        histogram(name, time.perf_counter_ns() - t0)
+        histogram("fm.cache_hit_ns" if hit else "fm.query_ns", time.perf_counter_ns() - t0)
+    return value
+
+
+def _norm(e: bool, r: tuple):
+    """Row ``r`` divided by the gcd of its coefficients (an inequality's
+    constant floored): ``(e, row)``, or ``None`` when trivially true and
+    ``()`` when trivially false."""
+    g = gcd(*r[:-1])
+    if g == 1:
+        return e, r
+    k = r[-1]
+    if g == 0:
+        return None if (k == 0 if e else k >= 0) else ()
+    if e and k % g:
+        return ()
+    return e, tuple([c // g for c in r])
+
+
+def _dense(items) -> tuple[tuple[int, ...], list]:
+    """Columns and rows of ``(is_equality, terms, constant)`` triples."""
+    ids, staged = _IDS, []
+    for e, terms, k in items:
+        staged.append((e, [(ids[n] if n in ids else _intern(n), c) for n, c in terms], k))
+    cols = tuple(sorted({v for _, ts, _ in staged for v, _ in ts}))
+    at = {v: i for i, v in enumerate(cols)}
+    rows = []
+    for e, ts, k in staged:
+        w = [0] * len(cols)
+        for v, c in ts:
+            w[at[v]] += c
+        w.append(k)
+        rows.append(_norm(bool(e), tuple(w)))
+    return cols, rows
 
 
 class System:
     """An immutable conjunction of affine constraints.
 
-    Duplicate and trivially true constraints are dropped on construction;
-    a trivially false constraint collapses the system to a canonical
-    infeasible form.
+    Constraints are normalised (coefficients divided by their gcd, an
+    inequality's constant floored), duplicates and trivially true ones
+    dropped, in first-occurrence order; a trivially false constraint
+    collapses the system to a canonical infeasible form.
     """
 
-    __slots__ = ("_constraints", "_false", "_vars", "_key", "_occ")
+    __slots__ = ("_cols", "_rows", "_false", "_key", "_costs", "_vars", "_cons")
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
-        seen: list[Constraint] = []
-        dedup = set()
+        self._set(*_dense((c.kind == Constraint.EQ, c.expr.terms(), c.expr.constant)
+                          for c in constraints))
+
+    @classmethod
+    def from_terms(cls, items: Iterable[tuple[bool, Iterable[tuple[str, int]], int]]) -> "System":
+        """The system of ``(is_equality, terms, constant)`` triples, each
+        ``sum(c * v for v, c in terms) + constant  (== | >=)  0`` (a name
+        may repeat in ``terms``), built with no :class:`Constraint`."""
+        return cls._of(*_dense(items))
+
+    @classmethod
+    def _of(cls, cols: tuple[int, ...], rows) -> "System":
+        s = object.__new__(cls)
+        s._set(cols, rows)
+        return s
+
+    def _set(self, cols: tuple[int, ...], rows: Iterable[tuple]) -> None:
+        """Rows already in :func:`_norm` form: drop the trivially true,
+        collapse on a false one, dedup (first occurrence wins) and drop
+        the columns no row uses."""
+        out: dict = {}
         false = False
-        for c in constraints:
-            if c.is_trivially_true():
-                continue
-            if c.is_trivially_false():
+        for con in rows:
+            if not con:
+                if con is None:
+                    continue
                 false = True
-                continue
-            if c not in dedup:
-                dedup.add(c)
-                seen.append(c)
+                break
+            out[con] = None
         self._false = false
-        self._constraints = tuple(seen) if not false else ()
-        self._vars: frozenset[str] | None = None
-        self._key: tuple | None = None
-        self._occ: dict[str, list[int]] | None = None
+        self._key = self._costs = self._vars = self._cons = None
+        self._cols, self._rows = ((), ()) if false or not out else (cols, tuple(out))
+        live = [any(col) for col in zip(*[r for _, r in self._rows])][:-1]
+        if not all(live):
+            keep = [i for i, used in enumerate(live) if used]
+            pick = itemgetter(*keep, -1)  # some column is live: no row is trivial
+            self._cols = tuple(cols[i] for i in keep)
+            self._rows = tuple([(e, pick(r)) for e, r in self._rows])
 
     # -- basic protocol ------------------------------------------------------
 
+    def terms(self) -> Iterator[tuple[bool, list[tuple[str, int]], int]]:
+        """``(is_equality, [(variable, coefficient), ...], constant)`` per
+        constraint, in order: the inverse of :meth:`from_terms`."""
+        names = [_NAMES[v] for v in self._cols]
+        for e, r in self._rows:
+            yield e, [(n, c) for n, c in zip(names, r) if c], r[-1]
+
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return self._constraints
+        """The constraints as :class:`Constraint` views (built on first use)."""
+        cs = self._cons
+        if cs is None:
+            cs = self._cons = tuple(
+                Constraint(LinExpr(dict(terms), k), Constraint.EQ if e else Constraint.GE)
+                for e, terms, k in self.terms()
+            )
+        return cs
 
     def is_trivially_false(self) -> bool:
         return self._false
@@ -98,117 +199,108 @@ class System:
         are immutable, so repeated calls return the identical object)."""
         v = self._vars
         if v is None:
-            out: set[str] = set()
-            for c in self._constraints:
-                out |= c.variables()
-            v = self._vars = frozenset(out)
+            v = self._vars = frozenset(_NAMES[i] for i in self._cols)
         return v
 
     def canonical_key(self) -> tuple:
-        """Order-insensitive canonical form, the memoization key of the
-        query engine: the sorted tuple of constraint keys (constraints
-        are normalized and deduplicated on construction).  Cached."""
+        """Order-insensitive canonical form, the query engine's memo key:
+        the columns and the set of (normalised, deduplicated) rows."""
         k = self._key
         if k is None:
-            if self._false:
-                k = ("<infeasible>",)
-            else:
-                k = tuple(sorted(c.key() for c in self._constraints))
-            self._key = k
+            k = self._key = ("<infeasible>",) if self._false else (self._cols, frozenset(self._rows))
         return k
 
-    def _occurrences(self) -> dict[str, list[int]]:
-        """Per-variable ``[lower_count, upper_count]`` occurrence index
-        (one scan over the constraints, cached), backing the
-        fewest-products elimination-order heuristic."""
-        occ = self._occ
-        if occ is None:
-            occ = {}
-            for c in self._constraints:
-                for v, a in c.expr.terms():
-                    slot = occ.get(v)
-                    if slot is None:
-                        slot = occ[v] = [0, 0]
-                    if a > 0:
-                        slot[0] += 1
-                    else:
-                        slot[1] += 1
-            self._occ = occ
-        return occ
-
-    def _elim_cost(self, name: str) -> int:
-        lo, hi = self._occurrences().get(name, (0, 0))
-        return lo * hi
+    def _cheapest(self, keep: frozenset[int] = frozenset()) -> int | None:
+        """The id of the variable outside ``keep`` to eliminate next: the
+        fewest lower×upper products (per-column counts, cached), ties
+        broken by variable *name*, whatever order names were interned
+        in.  ``None`` when none is left."""
+        todo = [(j, v) for j, v in enumerate(self._cols) if v not in keep]
+        if len(todo) < 2:
+            return todo[0][1] if todo else None
+        costs = self._costs
+        if costs is None:
+            costs = self._costs = []
+            for col in zip(*[r for _, r in self._rows]):
+                up, down = col.count(1), col.count(-1)
+                if up + down + col.count(0) < len(col):  # a non-unit coefficient
+                    up, down = sum(1 for c in col if c > 0), sum(1 for c in col if c < 0)
+                costs.append(up * down)
+        return min((costs[j], _NAMES[v], v) for j, v in todo)[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, System):
             return NotImplemented
-        if self._false or other._false:
-            return self._false and other._false
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
         return hash(self.canonical_key())
 
     def __len__(self) -> int:
-        return len(self._constraints)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(self._constraints)
+        return iter(self.constraints)
+
+    def __reduce__(self):  # interned ids are per process: pickle by name
+        return System, (_FALSE_CONS if self._false else self.constraints,)
 
     def __repr__(self) -> str:
         if self._false:
             return "System(<infeasible>)"
-        return "System([" + ", ".join(str(c) for c in self._constraints) + "])"
+        return "System([" + ", ".join(str(c) for c in self.constraints) + "])"
 
     def satisfied_by(self, env: Mapping[str, int]) -> bool:
-        if self._false:
-            return False
-        return all(c.satisfied_by(env) for c in self._constraints)
+        return not self._false and all(c.satisfied_by(env) for c in self.constraints)
 
     # -- construction ----------------------------------------------------------
 
     def and_(self, *constraints: Constraint) -> "System":
-        if self._false:
-            return self
-        return System(self._constraints + tuple(constraints))
+        return self if self._false else self.conjoin(System(constraints))
 
     def conjoin(self, other: "System") -> "System":
         if self._false or other._false:
             return _FALSE
-        return System(self._constraints + other._constraints)
+        if not other._rows or not self._rows:
+            return other if not self._rows else self
+        cols = self._cols if self._cols == other._cols else tuple(sorted({*self._cols, *other._cols}))
+        rows = []
+        for sub, part in ((self._cols, self._rows), (other._cols, other._rows)):
+            if sub == cols:
+                rows += part
+                continue
+            at = {v: i for i, v in enumerate(sub)}
+            pick = itemgetter(*[at.get(v, len(sub) + 1) for v in cols], len(sub))
+            rows += [(e, pick(r + (0,))) for e, r in part]  # the appended 0 fills new columns
+        s = object.__new__(System)
+        s._false, s._key, s._costs, s._vars, s._cons = False, None, None, None, None
+        s._cols, s._rows = cols, tuple(dict.fromkeys(rows))
+        return s
+
+    def _map(self, f) -> "System":
+        return self if self._false else System(f(c) for c in self.constraints)
 
     def substitute(self, name: str, replacement: LinExpr) -> "System":
-        if self._false:
-            return self
-        return System(c.substitute(name, replacement) for c in self._constraints)
+        return self._map(lambda c: c.substitute(name, replacement))
 
     def rename(self, mapping: Mapping[str, str]) -> "System":
-        if self._false:
-            return self
-        return System(c.rename(mapping) for c in self._constraints)
+        return self._map(lambda c: c.rename(mapping))
 
     def eval_partial(self, env: Mapping[str, int]) -> "System":
         """Substitute constants for some variables."""
-        if self._false:
-            return self
-        return System(Constraint(c.expr.eval_partial(env), c.kind) for c in self._constraints)
+        return self._map(lambda c: Constraint(c.expr.eval_partial(env), c.kind))
 
     # -- Fourier–Motzkin elimination ---------------------------------------------
 
     def eliminate(self, name: str, *, dark_shadow: bool = False) -> tuple["System", bool]:
         """Eliminate ``name``; returns ``(projected_system, exact)``.
 
-        ``exact`` is True when the resulting system is exactly the set of
-        integer points of the projection (guaranteed when every
-        lower/upper-bound pairing had a unit coefficient on at least one
-        side, or when an equality with unit coefficient allowed an exact
-        substitution).
-
-        With ``dark_shadow=True`` the Omega "dark shadow" combination is
-        emitted instead of the real shadow: the result *under*-approximates
-        the projection, so its feasibility implies feasibility of the
-        original (useful as the definite-yes half of a feasibility test).
+        ``exact`` is True when the result is exactly the integer points of
+        the projection (every lower/upper pairing had a unit coefficient
+        on one side, or a unit-coefficient equality allowed an exact
+        substitution).  With ``dark_shadow=True`` the Omega "dark shadow"
+        is returned instead of the real one: it *under*-approximates the
+        projection, so its feasibility implies the original's.
         """
         real, dark, exact = self.eliminate_shadows(name)
         return (dark if dark_shadow else real), exact
@@ -217,121 +309,104 @@ class System:
         """Eliminate ``name``, producing the real- and dark-shadow results
         of one shared Fourier–Motzkin pass: ``(real, dark, exact)``.
 
-        Lower/upper partitioning and constraint combination are done once
-        — the shadows only differ in the tightening term of non-unit
-        pairs, so when the step is exact ``real is dark``.  Memoized in
-        the query engine under the system's canonical form.
+        The shadows only differ in the tightening term of non-unit pairs,
+        so when the step is exact ``real is dark``.  Memoized in the
+        query engine under the system's canonical form.
         """
+        return self._eliminate(_IDS[name] if name in _IDS else _intern(name))
+
+    def _eliminate(self, v: int, budget: int | None = None) -> tuple["System", "System", bool]:
         if self._false:
             return self, self, True
-        eng = _engine.active()
-        if eng is None:
-            return self._eliminate_shadows_impl(name)
-        key = ("elim", self.canonical_key(), name)
-        hit = eng.get(key)
-        if hit is not _engine.MISS:
-            return hit
-        result = self._eliminate_shadows_impl(name)
-        eng.put(key, result)
-        return result
+        return _memo(lambda: ("elim", self.canonical_key(), v),
+                     lambda: self._eliminate_impl(v, budget))
 
-    def _eliminate_shadows_impl(self, name: str) -> tuple["System", "System", bool]:
+    def _eliminate_impl(self, v: int, budget: int | None) -> tuple["System", "System", bool]:
         counter("fm.eliminations")
+        cols, rows = self._cols, self._rows
+        if v not in cols:
+            counter("fm.constraint_pairs", 0)
+            return self, self, True
+        j = cols.index(v)
+        out_cols = cols[:j] + cols[j + 1:]
+        # a row without column j (just the constant when nothing else is left)
+        strip = itemgetter(*range(j), *range(j + 1, len(cols) + 1)) if out_cols else itemgetter(slice(-1, None))
 
         # 1. exact Gaussian substitution via a unit-coefficient equality
-        for c in self._constraints:
-            if c.is_equality():
-                a = c.coefficient(name)
-                if a in (1, -1):
-                    # a*x + rest == 0  =>  x = -rest/a
-                    rest = c.expr - LinExpr({name: a})
-                    repl = rest * (-1) if a == 1 else rest
-                    others = [k for k in self._constraints if k is not c]
-                    out = System(k.substitute(name, repl) for k in others)
-                    return out, out, True
+        for i, (e, p) in enumerate(rows):
+            a = p[j]
+            if e and (a == 1 or a == -1):
+                # a*x + rest == 0  =>  x = -a*rest: row - (c*a)*pivot drops x
+                pivot = strip(p)
+                subbed = []
+                for e2, r in rows[:i] + rows[i + 1:]:
+                    m = r[j] * a
+                    s = strip(r)
+                    subbed.append(_norm(e2, tuple([x - m * y for x, y in zip(s, pivot)])) if m else (e2, s))
+                out = System._of(out_cols, subbed)
+                return out, out, True
 
-        lowers: list[tuple[int, LinExpr]] = []  # (a, r): a*x + r >= 0, a > 0
-        uppers: list[tuple[int, LinExpr]] = []  # (b, r): -b*x + r >= 0, b > 0
-        free: list[Constraint] = []
-        equalities: list[Constraint] = []
-        for c in self._constraints:
-            a = c.coefficient(name)
+        lowers: list[tuple[int, tuple]] = []  # (a, rest): a*x + rest >= 0, a > 0
+        uppers: list[tuple[int, tuple]] = []  # (b, rest): -b*x + rest >= 0, b > 0
+        free: list[tuple[bool, tuple]] = []
+        equalities: list[tuple[int, tuple]] = []
+        for e, r in rows:
+            a = r[j]
+            rest = strip(r)
             if a == 0:
-                free.append(c)
-            elif c.is_equality():
-                equalities.append(c)
+                free.append((e, rest))
+            elif e:
+                equalities.append((a, rest))
             elif a > 0:
-                lowers.append((a, c.expr - LinExpr({name: a})))
+                lowers.append((a, rest))
             else:
-                uppers.append((-a, c.expr - LinExpr({name: a})))
-
+                uppers.append((-a, rest))
         # equalities with non-unit coefficients: treat as a pair of
         # inequalities (loses the divisibility constraint => inexact)
         exact = not equalities
-        for c in equalities:
-            lo, hi = c.negated_pair()
-            for side in (lo, hi):
-                aa = side.coefficient(name)
-                if aa > 0:
-                    lowers.append((aa, side.expr - LinExpr({name: aa})))
-                else:
-                    uppers.append((-aa, side.expr - LinExpr({name: aa})))
+        for a, rest in equalities:
+            neg = tuple([-c for c in rest])
+            lowers.append((abs(a), rest if a > 0 else neg))
+            uppers.append((abs(a), neg if a > 0 else rest))
 
+        n_pairs = len(lowers) * len(uppers)
+        if budget is not None and len(free) + n_pairs > budget:
+            raise _OverBudget(len(free) + n_pairs)
+        counter("fm.constraint_pairs", n_pairs)
         real_out = list(free)
         dark_out = list(free)
-        counter("fm.constraint_pairs", len(lowers) * len(uppers))
-        for (a, r1), (b, r2) in itertools.product(lowers, uppers):
-            # a*x >= -r1  and  b*x <= r2  =>  b*(-r1) <= a*b*x <= a*r2
-            combined = b * r1 + a * r2
-            rc = ge0(combined)
-            real_out.append(rc)
-            if a > 1 and b > 1:
-                exact = False
-                dark_out.append(ge0(combined - (a - 1) * (b - 1)))
-            else:
-                dark_out.append(rc)
-        real = System(real_out)
+        for a, r1 in lowers:
+            for b, r2 in uppers:
+                # a*x >= -r1  and  b*x <= r2  =>  b*(-r1) <= a*b*x <= a*r2
+                combined = tuple([b * x + a * y for x, y in zip(r1, r2)])
+                real_out.append(_norm(False, combined))
+                if a > 1 and b > 1:
+                    exact = False
+                    combined = combined[:-1] + (combined[-1] - (a - 1) * (b - 1),)
+                    dark_out.append(_norm(False, combined))
+                else:
+                    dark_out.append(real_out[-1])
+        real = System._of(out_cols, real_out)
         if exact:
             return real, real, True
-        return real, System(dark_out), False
+        return real, System._of(out_cols, dark_out), False
 
     def project_onto(self, keep: Sequence[str], *, dark_shadow: bool = False) -> tuple["System", bool]:
         """Eliminate every variable not in ``keep``; returns (system, exact)."""
         if self._false:
             return self, True
-        t0 = _fm_clock()
-        eng = _engine.active()
-        if eng is None:
-            result = self._project_onto_impl(keep, dark_shadow)
-            _fm_record("fm.query_ns", t0)
-            return result
-        key = (
-            "proj",
-            self.canonical_key(),
-            tuple(sorted(self.variables().intersection(keep))),
-            dark_shadow,
-        )
-        hit = eng.get(key)
-        if hit is not _engine.MISS:
-            _fm_record("fm.cache_hit_ns", t0)
-            return hit
-        result = self._project_onto_impl(keep, dark_shadow)
-        eng.put(key, result)
-        _fm_record("fm.query_ns", t0)
-        return result
+        kept = frozenset(_IDS[n] for n in keep if n in _IDS).intersection(self._cols)
+        return _memo(lambda: ("proj", self.canonical_key(), tuple(sorted(kept)), dark_shadow),
+                     lambda: self._project_onto_impl(kept, dark_shadow), timed=True)
 
-    def _project_onto_impl(self, keep: Sequence[str], dark_shadow: bool) -> tuple["System", bool]:
+    def _project_onto_impl(self, kept: frozenset[int], dark_shadow: bool) -> tuple["System", bool]:
         sys_, exact = self, True
-        keep_set = set(keep)
-        # Heuristic elimination order: fewest lower*upper products first
-        # (ties broken by variable name so runs are deterministic across
-        # processes regardless of hash randomization).
         while True:
-            todo = sorted(v for v in sys_.variables() if v not in keep_set)
-            if not todo:
+            v = sys_._cheapest(kept)
+            if v is None:
                 return sys_, exact
-            v = min(todo, key=sys_._elim_cost)
-            sys_, e = sys_.eliminate(v, dark_shadow=dark_shadow)
+            real, dark, e = sys_._eliminate(v)
+            sys_ = dark if dark_shadow else real
             exact = exact and e
 
     # -- feasibility ------------------------------------------------------------
@@ -339,79 +414,55 @@ class System:
     def feasible(self) -> Feasibility:
         """Integer feasibility of the system.
 
-        Decision procedure:
-
-        1. Real-shadow FM elimination of all variables.  Infeasible there
-           means integer-infeasible (sound).  Feasible *and exact* means
-           integer-feasible.
-        2. Otherwise consult the dark shadow; feasibility there implies
-           an integer point exists.
-        3. Otherwise report :data:`Feasibility.UNKNOWN` — callers that
-           need certainty fall back to :meth:`find_point` with bounds.
-
-        Both shadows are computed in *one* fused elimination sweep
-        (:meth:`eliminate_shadows`): they share the exact prefix of the
-        elimination and only diverge from the first inexact step, instead
-        of projecting the system twice from scratch.  The verdict is
-        memoized in the query engine.
+        Real-shadow FM elimination of every variable decides INFEASIBLE
+        (sound) and, when every step was exact, FEASIBLE; otherwise a
+        feasible dark shadow proves FEASIBLE, and the answer is
+        :data:`Feasibility.UNKNOWN` (callers needing certainty fall back
+        to :meth:`find_point`).  Both shadows come from one fused sweep
+        (:meth:`eliminate_shadows`): they share the exact prefix and
+        diverge from the first inexact step.  The verdict is memoized.
+        A step over :data:`FM_ROW_BUDGET` constraints ends the query as
+        ``UNKNOWN``, counted as ``fm.budget_exhausted`` and not memoized.
         """
         counter("fm.feasibility_queries")
         if self._false:
             return Feasibility.INFEASIBLE
-        t0 = _fm_clock()
-        eng = _engine.active()
-        if eng is None:
-            result = self._feasible_impl()
-            _fm_record("fm.query_ns", t0)
-            return result
-        key = ("feas", self.canonical_key())
-        hit = eng.get(key)
-        if hit is not _engine.MISS:
-            _fm_record("fm.cache_hit_ns", t0)
-            return hit
-        result = self._feasible_impl()
-        eng.put(key, result)
-        _fm_record("fm.query_ns", t0)
-        return result
+        try:
+            return _memo(lambda: ("feas", self.canonical_key()), self._feasible_impl, timed=True)
+        except _OverBudget as over:
+            counter("fm.budget_exhausted")
+            event("fm", "info", "elimination over the FM work budget; feasibility unknown",
+                  rows=over.args[0], budget=FM_ROW_BUDGET,
+                  variables=len(self._cols), constraints=len(self._rows))
+            return Feasibility.UNKNOWN
 
     def _feasible_impl(self) -> Feasibility:
         real: System = self
         dark: System | None = self  # identical object while every step is exact
         exact = True
-        while True:
-            if real.is_trivially_false():
-                return Feasibility.INFEASIBLE
-            todo = sorted(real.variables())
-            if not todo:
+        while not real._false:
+            v = real._cheapest()
+            if v is None:
                 break
-            v = min(todo, key=real._elim_cost)
             if dark is real:
-                real, dark, e = real.eliminate_shadows(v)
-                exact = exact and e
+                real, dark, e = real._eliminate(v, FM_ROW_BUDGET)
             else:
-                real, _, e = real.eliminate_shadows(v)
-                exact = exact and e
+                real, _, e = real._eliminate(v, FM_ROW_BUDGET)
                 if dark is not None:
-                    _, dark, _ = dark.eliminate_shadows(v)
-                    if dark.is_trivially_false():
+                    _, dark, _ = dark._eliminate(v, FM_ROW_BUDGET)
+                    if dark._false:
                         dark = None  # dark infeasibility proves nothing
-        if real.is_trivially_false():
+            exact = exact and e
+        if real._false:
             return Feasibility.INFEASIBLE
         if exact:
             return Feasibility.FEASIBLE
         # finish projecting any variables only the dark shadow still has
-        while dark is not None and not dark.is_trivially_false() and dark.variables():
-            w = min(sorted(dark.variables()), key=dark._elim_cost)
-            _, dark, _ = dark.eliminate_shadows(w)
-        if dark is not None and not dark.is_trivially_false():
+        while dark is not None and not dark._false and dark._cols:
+            _, dark, _ = dark._eliminate(dark._cheapest(), FM_ROW_BUDGET)
+        if dark is not None and not dark._false:
             return Feasibility.FEASIBLE
         return Feasibility.UNKNOWN
-
-    def is_definitely_infeasible(self) -> bool:
-        return self.feasible() is Feasibility.INFEASIBLE
-
-    def is_definitely_feasible(self) -> bool:
-        return self.feasible() is Feasibility.FEASIBLE
 
     # -- integer point search -----------------------------------------------------
 
@@ -419,28 +470,16 @@ class System:
         """Rational bounds on ``name`` over the projection (lo, hi);
         ``None`` means unbounded on that side."""
         proj, _ = self.project_onto((name,))
-        if proj.is_trivially_false():
+        if proj._false:
             raise PolyhedronError("system is infeasible; no variable range")
-        lo: int | None = None
-        hi: int | None = None
-        for c in proj:
-            a = c.coefficient(name)
-            if a == 0:
-                continue
-            rest = c.expr.constant
-            if c.is_equality():
-                if rest % a == 0:
-                    v = -rest // a
-                    lo = v if lo is None else max(lo, v)
-                    hi = v if hi is None else min(hi, v)
-                else:
-                    raise PolyhedronError("equality with no integer solution")
-            elif a > 0:  # a*x + rest >= 0 -> x >= ceil(-rest/a)
-                b = _ceil_div(-rest, a)
-                lo = b if lo is None else max(lo, b)
-            else:  # a<0: x <= floor(rest/-a)
-                b = _floor_div(rest, -a)
-                hi = b if hi is None else min(hi, b)
+        lo = hi = None
+        for e, (a, k) in proj._rows:  # one column left: a*x + k (== | >=) 0
+            if e and k % a:
+                raise PolyhedronError("equality with no integer solution")
+            if e or a > 0:  # x >= ceil(-k/a)
+                lo = -(k // a) if lo is None else max(lo, -(k // a))
+            if e or a < 0:  # x <= floor(k/-a)
+                hi = k // -a if hi is None else min(hi, k // -a)
         return lo, hi
 
     def find_point(self, *, clip: int = 64) -> dict[str, int] | None:
@@ -518,4 +557,5 @@ class System:
             yield from self._enumerate({**env, name: v}, order, clip)
 
 
-_FALSE = System([Constraint(LinExpr({}, -1), Constraint.GE)])
+_FALSE_CONS = (Constraint(LinExpr({}, -1), Constraint.GE),)
+_FALSE = System(_FALSE_CONS)

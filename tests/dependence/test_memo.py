@@ -12,10 +12,13 @@ import pytest
 from repro import kernels, obs
 from repro.dependence import DepVector, analyze_dependences
 from repro.dependence.entry import DepEntry
+from repro.fuzz.sample import sample_case
 from repro.instance import Layout
-from repro.ir import Program
+from repro.ir import Program, parse_program
 from repro.kernels import cholesky, simplified_cholesky
 from repro.polyhedra import System, engine, ge, var
+from repro.transform.spec import KINDS, parse_schedule
+from repro.util.errors import ReproError
 
 
 def _zoo():
@@ -40,18 +43,62 @@ def _lookups(counters) -> tuple[int, int]:
     return counters.get("dependence.memo_hits", 0), counters.get("dependence.memo_misses", 0)
 
 
+def _fuzz_programs(n: int = 100):
+    """The programs of the fuzz sampler's first ``n`` cases at seed 1."""
+    for i in range(n):
+        yield pytest.param(sample_case(1, i).program_src, id=f"fuzz-seed1-{i}")
+
+
+def _rewritten_zoo():
+    """Each zoo kernel's programs after one ``distribute`` or ``fuse``,
+    at every site the catalogue offers."""
+    for name in kernels.__all__:
+        try:
+            program = getattr(kernels, name)()
+        except TypeError:
+            continue
+        if not isinstance(program, Program):
+            continue
+        layout = Layout(program)
+        deps = analyze_dependences(program)
+        for kind in ("distribute", "fuse"):
+            for site in KINDS[kind].sites(layout, deps):
+                spec = KINDS[kind].render(*site)
+                try:
+                    rewritten = parse_schedule(program, spec).program
+                except ReproError:
+                    continue
+                yield pytest.param(rewritten, id=f"{name}-{spec}")
+
+
+def _assert_memo_matches_oracle(program):
+    with engine.cache_disabled():
+        oracle = analyze_dependences(program)
+    engine.cache_clear()
+    first = analyze_dependences(program)
+    again = analyze_dependences(program)
+    # same vectors, same order — on the computing call and on the hit
+    assert first.deps == oracle.deps
+    assert again.deps == oracle.deps
+    assert again.layout.coords == oracle.layout.coords
+
+
 class TestOracle:
     @pytest.mark.parametrize("program", _zoo())
     def test_memoized_result_equals_the_uncached_analysis(self, program):
-        with engine.cache_disabled():
-            oracle = analyze_dependences(program)
-        engine.cache_clear()
-        first = analyze_dependences(program)
-        again = analyze_dependences(program)
-        # same vectors, same order — on the computing call and on the hit
-        assert first.deps == oracle.deps
-        assert again.deps == oracle.deps
-        assert again.layout.coords == oracle.layout.coords
+        _assert_memo_matches_oracle(program)
+
+    @pytest.mark.parametrize("text", _fuzz_programs())
+    def test_fuzz_stream_programs_match_the_uncached_analysis(self, text):
+        _assert_memo_matches_oracle(parse_program(text))
+
+    @pytest.mark.parametrize("program", _rewritten_zoo())
+    def test_distributed_and_fused_zoo_programs_match_the_uncached_analysis(self, program):
+        _assert_memo_matches_oracle(program)
+
+    def test_the_rewritten_zoo_has_both_kinds(self):
+        ids = [p.id for p in _rewritten_zoo()]
+        assert any("distribute(" in i for i in ids) and any("fuse(" in i for i in ids)
 
     def test_the_zoo_is_not_trivial(self):
         programs = [p.values[0] for p in _zoo()]

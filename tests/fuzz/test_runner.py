@@ -72,6 +72,17 @@ class TestDerivationCheck:
     def test_sound_derivations_pass(self):
         assert run_case(self.CASE).verdict == "pass-legal"
 
+    def test_coarser_derivation_is_counted_not_judged(self):
+        """lu ``tile(J,4)``: the derivation gives the tile coordinate of
+        four S2→S1 vectors ``*`` where §3 gives ``[2,+inf]``."""
+        from repro.ir import program_to_str
+        from repro.kernels import lu
+
+        case = FuzzCase(program_src=program_to_str(lu()), spec="tile(J,4)", params=(("N", 6),))
+        with obs.session() as sess:
+            assert run_case(case).verdict == "pass-legal"
+        assert sess.counters["fuzz.derived_coarser"] > 0
+
     def test_too_fine_tile_derivation_is_caught(self, monkeypatch):
         from repro.dependence.depvector import DependenceMatrix
         from repro.instance import Layout

@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.polyhedra import Feasibility, LinExpr, System, engine, eq, ge, ge0, le, var
 from repro.polyhedra.engine import MISS, EngineStats, QueryEngine
+from repro.polyhedra.system import FM_ROW_BUDGET
 
 
 @pytest.fixture(autouse=True)
@@ -194,3 +195,47 @@ def test_corpus_feasible_sound_vs_brute_force():
             assert verdict is not Feasibility.INFEASIBLE
         else:
             assert verdict is not Feasibility.FEASIBLE
+
+
+# -- the FM work budget of a feasibility query ------------------------------
+
+
+def _dense_system(seed: int = 5, n_vars: int = 8, n_rows: int = 60) -> System:
+    """Every constraint mentions every variable with a non-unit-heavy
+    coefficient: the second elimination step squares the row count."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(n_vars)]
+    return System([
+        ge0(LinExpr({v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in names}, rng.randint(-9, 9)))
+        for _ in range(n_rows)
+    ])
+
+
+class TestWorkBudget:
+    def test_a_dense_system_exhausts_the_budget_quickly(self):
+        import time
+
+        s = _dense_system()
+        t0 = time.perf_counter()
+        with obs.collect_events() as events, obs.session() as sess:
+            verdict = s.feasible()
+        assert time.perf_counter() - t0 < 1.0
+        assert verdict is Feasibility.UNKNOWN
+        assert sess.counters["fm.budget_exhausted"] == 1
+        (ev,) = obs.events_for(events, "fm")
+        assert ev.verdict == "info" and ev.attrs["rows"] > FM_ROW_BUDGET
+
+    def test_an_exhausted_query_stays_out_of_the_memo(self):
+        s = _dense_system()
+        with obs.session() as sess:
+            s.feasible()
+            s.feasible()
+        assert sess.counters["fm.budget_exhausted"] == 2
+
+    def test_projection_has_no_budget(self):
+        # the same elimination under project_onto is not cut short
+        s = _dense_system(n_vars=3, n_rows=24)
+        with obs.session() as sess:
+            proj, _ = s.project_onto(())
+        assert sess.counters.get("fm.budget_exhausted", 0) == 0
+        assert proj.is_trivially_false() or not proj.variables()

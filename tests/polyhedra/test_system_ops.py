@@ -78,3 +78,32 @@ class TestFeasibilityCorners:
     def test_repr_readable(self):
         assert "x" in repr(System([ge(x, 0)]))
         assert "infeasible" in repr(System([ge(1, 2)]))
+
+
+class TestPickle:
+    def test_a_system_travels_by_name_not_by_interned_id(self):
+        """Interned variable ids are per process, so a pickled system must
+        mean the same constraints in a process that interned names in
+        another order."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        s = System([ge(x, 1), le(x, N), eq(y, x + 2)])
+        code = (
+            "import pickle, sys\n"
+            "from repro.polyhedra import System, ge, var\n"
+            "System([ge(var('zz'), 0), ge(var('N'), var('y'))])  # intern other names first\n"
+            "s = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(repr(s), s.satisfied_by({'x': 3, 'y': 5, 'N': 4}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(s), capture_output=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        ).stdout.decode().strip()
+        assert out == f"{s!r} True"
+        assert pickle.loads(pickle.dumps(System([ge(1, 2)]))).is_trivially_false()

@@ -8,10 +8,12 @@ simplified output, which is now the only output, the explain-only
 restructuring completion search, the process pool that spread
 dependence analysis over conflicting pairs, or the second copies of a
 rule (program canonicaliser, positivity test, trace dependence scan,
-fusion-site finder) and the daemon's shard-bound variable, or the
+fusion-site finder) and the daemon's shard-bound variable, the
 second descriptions of a transformation kind that the catalogue
 replaced (``jam``, which is ``fuse`` at offset 0, the sampler's and the
-parser's own op tables, the tuner's candidate-cap variable)."""
+parser's own op tables, the tuner's candidate-cap variable), or the
+helpers of the dict-backed Fourier–Motzkin code that integer rows
+replaced."""
 
 from __future__ import annotations
 
@@ -48,6 +50,10 @@ DELETED = (
     "`ja" "m`", "ja" "m(", "distribution." "jam", "_jam" "_sites", "tune.space." "jams",
     "_sample" "_op", "_sample" "_structural", "_OP" "_WEIGHTS", "STRUCTURAL" "_OPS",
     "MAX_CANDIDATES" "_ENV", "REPRO_" "TUNE_MAX",
+    # the dict-backed Fourier–Motzkin path that integer rows replaced
+    "is_definitely" "_feasible", "is_definitely" "_infeasible", "_eliminate_shadows" "_impl",
+    "_occur" "rences", "_elim" "_cost", "_ceil" "_div", "_floor" "_div", "reset" "_stats",
+    "Constraint." "coefficient", "Constraint." "key",
 )
 
 
