@@ -9,11 +9,15 @@ The assertions are the service-smoke acceptance bar: the warm daemon
 at least ``SERVICE_MIN_SPEEDUP`` (5x) over the cold CLI on
 cholesky/trmm/seidel, byte-exact renders, and a clean sustained-load
 pass under 8 concurrent clients.  The cold side forks real CLI
-subprocesses, so the module costs a few seconds.  docs/SERVICE.md has
-the protocol and the caching semantics.
+subprocesses, so the module costs a few seconds.  A last test reports,
+without gating, the daemon's peak RSS after a fixed number of requests:
+memory apart from speed, which a fixed-time window cannot give.
+docs/SERVICE.md has the protocol and the caching semantics.
 """
 
 import os
+import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -28,6 +32,12 @@ from repro.kernels import cholesky, seidel_2d, trmm
 
 #: The E20 floor: a warm daemon request against a cold CLI subprocess.
 SERVICE_MIN_SPEEDUP = 5.0
+
+#: Requests of the fixed-count memory report; one in ten is a transform
+#: with a fresh skew factor, a result-cache miss that grows the FM cache
+#: (1 200 of them make about 15 000 FM misses: its 8 192-entry LRU fills).
+MEMORY_REQUESTS = 12000
+NOVEL_EVERY = 10
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,6 +67,7 @@ def service():
         try:
             yield server, client, files
         finally:
+            client.close()
             server.request_shutdown()
             thread.join(10)
             server.close()
@@ -165,3 +176,71 @@ def test_e20_throughput_under_concurrent_clients(service):
     assert total / elapsed > 0
     m = client.metrics()
     assert m["counters"].get("service.errors", 0) == 0
+
+
+def _peak_rss_mb(pid: int) -> float | None:
+    """A live process's peak resident set (``VmHWM``), where ``/proc`` has it."""
+    try:
+        with open(f"/proc/{pid}/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
+def test_e20_daemon_peak_rss_after_fixed_request_count(tmp_path):
+    """A report, not a gate: a ``repro serve`` subprocess answers
+    ``MEMORY_REQUESTS`` closed-loop requests from one client, then its
+    peak RSS is read.  The count, not a time window, fixes the work, so
+    a faster daemon does not read as a larger one."""
+    from repro.service.client import ServiceClient
+
+    pooled = [
+        (op, {"program": program_to_str(f()), **args})
+        for f in (cholesky, trmm, seidel_2d)
+        for op, args in (("analyze", {}), ("check", {"spec": "reverse(I)"}))
+    ]
+    novel = [
+        (program_to_str(f()), spec)
+        for f, spec in ((cholesky, "skew(I,K,{})"), (trmm, "skew(J,I,{})"),
+                        (seidel_2d, "skew(I,J,{})"))
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--tune-dir", str(tmp_path / "tune")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    try:
+        url = re.search(r"http://\S+", proc.stdout.readline()).group(0)
+        t0 = time.perf_counter()
+        with ServiceClient(url, timeout=120.0) as client:
+            client.wait_ready(timeout=30.0)
+            for i in range(MEMORY_REQUESTS):
+                if i % NOVEL_EVERY == 0:
+                    program, spec = novel[(i // NOVEL_EVERY) % len(novel)]
+                    reply = client.request_full(
+                        "transform", program=program, spec=spec.format(2 + i))
+                else:
+                    op, args = pooled[i % len(pooled)]
+                    reply = client.request_full(op, **args)
+                assert reply.ok, reply.error
+            elapsed = time.perf_counter() - t0
+            fm = client.metrics()["counters"].get("fm.cache_misses", 0)
+        rss = _peak_rss_mb(proc.pid)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=20)
+        except subprocess.TimeoutExpired:  # pragma: no cover - hung daemon
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    shown = "unavailable (no /proc)" if rss is None else f"{rss:.1f} MB"
+    print(
+        f"\n[E20] daemon peak RSS after {MEMORY_REQUESTS} requests "
+        f"(1 in {NOVEL_EVERY} novel, {elapsed:.1f}s, {fm} FM misses): {shown}"
+    )

@@ -87,9 +87,8 @@ def _run_op(args, op: str, program, **fields):
     if url:
         from repro.service.client import ServiceClient
 
-        payload = ServiceClient(url).request(
-            op, program=program_to_str(program), **fields
-        )
+        with ServiceClient(url) as client:
+            payload = client.request(op, program=program_to_str(program), **fields)
         return api.OPS[op].from_payload(payload)
     return api.execute(
         op, program, fields, cache_dir=getattr(args, "cache_dir", None)

@@ -575,35 +575,35 @@ def _service_divergence(program, params: dict, url: str) -> str | None:
     from repro.util.errors import ServiceError
 
     src = program_to_str(program)
-    client = ServiceClient(url)
     counter("fuzz.service_checks")
-    local_analyze = analyze_op(program).render()
-    try:
-        remote_analyze = AnalyzeResult.from_payload(
-            client.request("analyze", program=src)
-        ).render()
-    except ServiceError as exc:
-        return f"service analyze raised (local analyze succeeded): {exc}"
-    if remote_analyze != local_analyze:
-        return "service analyze output differs from local pipeline"
-    try:
-        local_run = run_op(program, params).render()
-    except ReproError:
-        counter("fuzz.service_skips")
+    with ServiceClient(url) as client:
+        local_analyze = analyze_op(program).render()
         try:
-            client.request("run", program=src, params=params)
-        except ServiceError:
-            return None
-        return "service ran a program the local reference execution rejects"
-    try:
-        remote_run = RunResult.from_payload(
-            client.request("run", program=src, params=params)
-        ).render()
-    except ServiceError as exc:
-        return f"service run raised (local run succeeded): {exc}"
-    if remote_run != local_run:
-        return "service run output differs from local reference execution"
-    return None
+            remote_analyze = AnalyzeResult.from_payload(
+                client.request("analyze", program=src)
+            ).render()
+        except ServiceError as exc:
+            return f"service analyze raised (local analyze succeeded): {exc}"
+        if remote_analyze != local_analyze:
+            return "service analyze output differs from local pipeline"
+        try:
+            local_run = run_op(program, params).render()
+        except ReproError:
+            counter("fuzz.service_skips")
+            try:
+                client.request("run", program=src, params=params)
+            except ServiceError:
+                return None
+            return "service ran a program the local reference execution rejects"
+        try:
+            remote_run = RunResult.from_payload(
+                client.request("run", program=src, params=params)
+            ).render()
+        except ServiceError as exc:
+            return f"service run raised (local run succeeded): {exc}"
+        if remote_run != local_run:
+            return "service run output differs from local reference execution"
+        return None
 
 
 def _oracle_detail(rep: dict) -> str:

@@ -8,8 +8,8 @@ every precedence case, legality and codegen re-project the same
 iteration domains, and the tuner replays whole analyses.
 
 A key is the operation, the system's canonical form
-(:meth:`System.canonical_key`: its interned-id columns and the set of
-its integer rows, so construction order does not matter) and the
+(:meth:`System.canonical_key`: its interned-id columns and its sorted
+integer rows, so construction order does not matter) and the
 operation's arguments: ``("elim", key, var_id)`` per elimination step,
 ``("proj", key, kept_ids, dark_shadow)`` and ``("feas", key)``.  Ids
 are per process, like the cache.  Values are immutable ``System`` /

@@ -64,8 +64,11 @@ def _intern(name: str) -> int:
     with _INTERN_LOCK:
         i = _IDS.get(name)
         if i is None:
-            i = _IDS[name] = len(_NAMES)
+            # the name goes into _NAMES before its id is published:
+            # readers look ids up in _IDS without the lock
+            i = len(_NAMES)
             _NAMES.append(name)
+            _IDS[name] = i
     return i
 
 
@@ -204,10 +207,11 @@ class System:
 
     def canonical_key(self) -> tuple:
         """Order-insensitive canonical form, the query engine's memo key:
-        the columns and the set of (normalised, deduplicated) rows."""
+        the columns and the sorted tuple of (normalised, deduplicated)
+        rows — as canonical as their set, and smaller to hold."""
         k = self._key
         if k is None:
-            k = self._key = ("<infeasible>",) if self._false else (self._cols, frozenset(self._rows))
+            k = self._key = ("<infeasible>",) if self._false else (self._cols, tuple(sorted(self._rows)))
         return k
 
     def _cheapest(self, keep: frozenset[int] = frozenset()) -> int | None:

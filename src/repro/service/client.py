@@ -1,9 +1,13 @@
 """HTTP client for the transformation service.
 
-Built on ``http.client`` (stdlib only, like the rest of the repo); one
-connection per request keeps the client trivially thread-safe — the
-daemon lives on a local socket, so connection setup is noise next to
-any pipeline op.  All transport failures surface as
+Built on ``http.client`` (stdlib only, like the rest of the repo).
+Each thread keeps one persistent HTTP/1.1 connection to the daemon, so
+a result-cache hit costs one request and one reply, not a TCP
+handshake and a fresh server thread, and threads sharing a client
+never read each other's replies.  A kept-alive connection the daemon
+has since closed (it shut down or restarted) fails on the next send or
+before a status line arrives; the client then reconnects once and
+resends.  All transport failures surface as
 :class:`~repro.util.errors.ServiceError`; remote pipeline failures are
 relayed with the remote error class name in ``.kind``, so
 ``repro --remote`` prints the same ``error: ...`` line a local run
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
 from typing import Any
@@ -29,7 +34,9 @@ __all__ = ["ServiceClient"]
 class ServiceClient:
     """Talks to one ``repro serve`` daemon.
 
-    ``url`` accepts ``http://host:port`` or bare ``host:port``.
+    ``url`` accepts ``http://host:port`` or bare ``host:port``.  Close
+    the client (or use it as a context manager) to release its
+    connections; a request after :meth:`close` reconnects.
     """
 
     def __init__(self, url: str, timeout: float = 300.0):
@@ -43,22 +50,61 @@ class ServiceClient:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection."""
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
 
     # -- transport -------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (``http.client`` opens it on first
+        use and after a close)."""
+        me = threading.current_thread()
+        with self._lock:
+            conn = self._conns.get(me)
+            if conn is None:
+                for gone in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(gone).close()
+                conn = self._conns[me] = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+        return conn
+
     def _http(self, method: str, path: str, body: bytes | None = None) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            raw = conn.getresponse().read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}",
-                kind="ServiceUnreachable",
-            ) from None
-        finally:
-            conn.close()
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn = self._connection()
+        reused = conn.sock is not None
+        while True:
+            response = None
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and response is None and isinstance(exc, ConnectionError):
+                    # reset, broken pipe or EOF before a status line: the
+                    # daemon closed this kept-alive connection while it
+                    # sat idle, so reconnect once and resend
+                    reused = False
+                    continue
+                raise ServiceError(
+                    f"cannot reach service at {self.host}:{self.port}: {exc}",
+                    kind="ServiceUnreachable",
+                ) from None
         try:
             return json.loads(raw)
         except json.JSONDecodeError:

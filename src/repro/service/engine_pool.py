@@ -13,6 +13,10 @@ request for free.  What the pool adds is *per-program* structure:
 * the shard map itself is a bounded LRU (``max_shards``, default 64,
   ``repro serve --shards``) — a daemon that has seen a million distinct
   programs holds warm state for only the most recent ones;
+* in front of it, an LRU of raw request texts (at most
+  :data:`MAX_ALIAS_CHARS` characters in all) maps a text already seen
+  straight to its shard, so a repeated request neither parses nor
+  hashes; a text's alias goes when its shard is evicted;
 * identical requests that arrive while the first one is still computing
   are *coalesced*: followers block on the leader's flight and share its
   payload (or its exception) instead of recomputing.
@@ -31,10 +35,15 @@ from typing import Callable
 from repro.ir import Program, canonicalize, program_key
 from repro.obs import counter, gauge
 
-__all__ = ["ProgramShard", "EnginePool", "DEFAULT_MAX_SHARDS"]
+__all__ = ["ProgramShard", "EnginePool", "DEFAULT_MAX_SHARDS", "MAX_ALIAS_CHARS"]
 
 DEFAULT_MAX_SHARDS = 64
 DEFAULT_MAX_RESULTS = 64
+#: Most characters of raw program text the front table holds, counted
+#: rather than texts because a request body may be megabytes.  A kernel
+#: is a few hundred characters, so this is thousands of texts; a text
+#: longer than the whole budget is parsed on every request.
+MAX_ALIAS_CHARS = 1 << 20
 
 
 class ProgramShard:
@@ -43,6 +52,9 @@ class ProgramShard:
     def __init__(self, key: str, program: Program, max_results: int):
         self.key = key
         self.program = program
+        #: raw texts that alias this shard in the pool's front table
+        #: (guarded by the pool's map lock)
+        self.texts: set[str] = set()
         #: serializes *computation* on this shard; held for the whole fn()
         self.lock = threading.RLock()
         #: guards only the result map — never held while computing, so a
@@ -95,6 +107,8 @@ class EnginePool:
         self.max_results_per_shard = max_results_per_shard
         self._lock = threading.Lock()
         self._shards: OrderedDict[str, ProgramShard] = OrderedDict()
+        self._aliases: OrderedDict[str, ProgramShard] = OrderedDict()
+        self._alias_chars = 0
         self._inflight_lock = threading.Lock()
         self._inflight: dict[tuple, _Flight] = {}
         self.stats_lock = threading.Lock()
@@ -111,11 +125,20 @@ class EnginePool:
     def shard_for(self, program_text: str) -> ProgramShard:
         """The (possibly new) shard for a program's canonical text.
 
-        The text is parsed once per request: that one parse yields the
-        canonical text the key hashes and, on a miss, the shard's
-        program.  Eviction drops the least-recently-used shard but never
-        disturbs a request that already holds a reference to it.
+        A text seen before is looked up raw and parses nothing.  Any
+        other text is parsed once: that one parse yields the canonical
+        text the key hashes and, on a miss, the shard's program.
+        Eviction drops the least-recently-used shard and its aliases but
+        never disturbs a request that already holds a reference to it.
         """
+        with self._lock:
+            shard = self._aliases.get(program_text)
+            if shard is not None:
+                self._aliases.move_to_end(program_text)
+                self._shards.move_to_end(shard.key)
+        if shard is not None:
+            self._bump("shard_hits", "service.shard.hits")
+            return shard
         # outside the map lock: parsing is pure, so requests never queue
         # behind one another's parse
         program, text = canonicalize(program_text, "service")
@@ -130,8 +153,12 @@ class EnginePool:
                 shard = ProgramShard(key, program, self.max_results_per_shard)
                 self._shards[key] = shard
                 while len(self._shards) > self.max_shards:
-                    self._shards.popitem(last=False)
+                    _, old = self._shards.popitem(last=False)
+                    for alias in old.texts:
+                        del self._aliases[alias]
+                        self._alias_chars -= len(alias)
                     evicted += 1
+            self._alias(program_text, shard)
             n = len(self._shards)
         if hit:
             self._bump("shard_hits", "service.shard.hits")
@@ -141,6 +168,18 @@ class EnginePool:
             self._bump("shard_evictions", "service.shard.evictions")
         gauge("service.shards", n)
         return shard
+
+    def _alias(self, text: str, shard: ProgramShard) -> None:
+        """Map ``text`` to ``shard`` in the front table (map lock held)."""
+        if text in self._aliases or len(text) > MAX_ALIAS_CHARS:
+            return  # a racing request aliased it first, or it never fits
+        self._aliases[text] = shard
+        shard.texts.add(text)
+        self._alias_chars += len(text)
+        while self._alias_chars > MAX_ALIAS_CHARS:
+            stale, owner = self._aliases.popitem(last=False)
+            owner.texts.discard(stale)
+            self._alias_chars -= len(stale)
 
     def shard_count(self) -> int:
         with self._lock:

@@ -13,12 +13,15 @@ shared :class:`ReproService`:
   latency histograms, shard and job statistics as JSON;
 * ``GET /healthz`` — liveness.
 
+Connections are HTTP/1.1 keep-alive: one handler thread serves a
+client's requests until the client closes the connection.
+
 Graceful shutdown: SIGTERM/SIGINT (or the ``shutdown`` op) stop the
-accept loop, drain in-flight request threads (the handler threads are
-non-daemon), drain the job queue, and only then uninstall the
-observability session — which flushes and closes the trace sink, so a
-killed daemon never leaves a truncated JSONL artifact
-(docs/SERVICE.md).
+accept loop, close the connections that sit idle between requests,
+drain in-flight request threads (the handler threads are non-daemon),
+drain the job queue, and only then uninstall the observability session
+— which flushes and closes the trace sink, so a killed daemon never
+leaves a truncated JSONL artifact (docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -74,12 +78,12 @@ class ReproService:
                 ok=True, result=payload, cached=cached, coalesced=coalesced
             )
         except ReproError as exc:
-            self.count_error()
+            self.count("service.errors")
             # a ServiceError carries a relayed kind (e.g. a job's ParseError)
             kind = getattr(exc, "kind", None) or type(exc).__name__
             resp = Response(ok=False, error=str(exc), error_kind=kind)
         except Exception as exc:  # noqa: BLE001 - relayed, never a 500
-            self.count_error()
+            self.count("service.errors")
             resp = Response(
                 ok=False,
                 error=f"internal error: {type(exc).__name__}: {exc}",
@@ -92,9 +96,10 @@ class ReproService:
                 obs.histogram(f"service.request_ns.{op}", resp.served_ns)
         return resp
 
-    def count_error(self) -> None:
+    def count(self, name: str) -> None:
+        """Bump a counter from any handler thread."""
         with self._metrics_lock:
-            obs.counter("service.errors")
+            obs.counter(name)
 
     def _dispatch(self, req) -> tuple[dict, bool, bool]:
         op = req.op
@@ -199,17 +204,47 @@ class ReproService:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/" + str(PROTOCOL_VERSION)
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in one send() when the handler flushes: a
+    # header segment followed by a body segment waits out Nagle plus the
+    # client's delayed ACK (~40 ms) on a kept-alive connection.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # BaseHTTPRequestHandler logs to stderr per request; the daemon's
     # observability lives in the obs session instead.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _send_json(self, code: int, payload: dict) -> None:
+    def handle_one_request(self):
+        # until a request line arrives the connection is idle, and
+        # server_close() may shut it
+        if not self.server.mark_idle(self.connection):  # type: ignore[attr-defined]
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        if not self.server.mark_busy(self.connection):  # type: ignore[attr-defined]
+            self.close_connection = True  # shut while idle: answer nothing
+            return False
+        return super().parse_request()
+
+    def handle_expect_100(self) -> bool:
+        ok = super().handle_expect_100()
+        self.wfile.flush()  # the interim reply must not wait in the buffer
+        return ok
+
+    def finish(self):
+        self.server.forget(self.connection)  # type: ignore[attr-defined]
+        super().finish()
+
+    def _send_json(self, code: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close or self.server.closing:  # type: ignore[attr-defined]
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -226,10 +261,10 @@ class _Handler(BaseHTTPRequestHandler):
         """Refuse a request before dispatch: count it, answer, and drop
         the connection (a body left unread would otherwise be parsed as
         the next request)."""
-        self.server.service.count_error()  # type: ignore[attr-defined]
-        self.close_connection = True
+        self.server.service.count("service.errors")  # type: ignore[attr-defined]
         self._send_json(
-            code, Response(ok=False, error=error, error_kind=kind).to_wire()
+            code, Response(ok=False, error=error, error_kind=kind).to_wire(),
+            close=True,
         )
 
     def do_POST(self):  # noqa: N802 - stdlib dispatch name
@@ -263,11 +298,65 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    # non-daemon handler threads + block_on_close: server_close() joins
-    # every in-flight request — the "drain" half of graceful shutdown
+    """Threaded keep-alive server whose ``server_close()`` shuts the
+    connections idle between requests, then joins every handler thread.
+
+    Non-daemon handler threads + ``block_on_close``: the join drains
+    in-flight requests — the "drain" half of graceful shutdown.  Without
+    the idle close it would also wait for every kept-alive client to hang
+    up.  A connection is idle from the moment its handler waits for a
+    request line until one arrives (:meth:`mark_idle` /
+    :meth:`mark_busy`); a request that arrives on a connection already
+    shut gets no answer, and its client sees the daemon gone.
+    """
+
     daemon_threads = False
     block_on_close = True
     allow_reuse_address = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._conn_lock = threading.Lock()
+        self._idle: set[socket.socket] = set()
+        self.closing = False
+
+    def process_request(self, request, client_address):
+        self.service.count("service.connections")  # type: ignore[attr-defined]
+        super().process_request(request, client_address)
+
+    def mark_idle(self, conn: socket.socket) -> bool:
+        """``conn`` waits for a request line; False once closing."""
+        with self._conn_lock:
+            if self.closing:
+                return False
+            self._idle.add(conn)
+            return True
+
+    def mark_busy(self, conn: socket.socket) -> bool:
+        """A request line arrived on ``conn``; False if it was shut first."""
+        with self._conn_lock:
+            if conn not in self._idle:
+                return False
+            self._idle.remove(conn)
+            return True
+
+    def forget(self, conn: socket.socket) -> None:
+        """The handler is done with ``conn`` (called before it closes)."""
+        with self._conn_lock:
+            self._idle.discard(conn)
+
+    def server_close(self):
+        with self._conn_lock:
+            self.closing = True
+            # under the lock, so no socket closes mid-shutdown: a handler
+            # leaves this set (forget) before it closes its socket
+            for conn in self._idle:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes its blocked read
+                except OSError:  # the client hung up first
+                    pass
+            self._idle.clear()
+        super().server_close()  # closes the listener, joins handler threads
 
 
 class ServiceServer:
@@ -314,7 +403,8 @@ class ServiceServer:
         ).start()
 
     def close(self, drain_jobs: bool = True) -> None:
-        """Drain request threads and the job queue; release the socket."""
+        """Close idle connections, drain request threads and the job
+        queue; release the socket."""
         self.httpd.server_close()  # joins in-flight request threads
         self.service.jobs.stop(wait=drain_jobs)
 

@@ -18,23 +18,25 @@ def make_daemon(tmp_path):
     Every daemon gets an isolated tune cache under the test's tmp dir
     and is drained and closed at teardown regardless of test outcome.
     """
-    started: list[tuple[ServiceServer, threading.Thread]] = []
+    started: list[tuple[ServiceServer, threading.Thread, ServiceClient]] = []
 
     def boot(**kwargs) -> tuple[ServiceServer, ServiceClient]:
         kwargs.setdefault("tune_dir", str(tmp_path / f"tune{len(started)}"))
         server = ServiceServer(port=0, **kwargs)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        started.append((server, thread))
         client = ServiceClient(server.url, timeout=60.0)
+        started.append((server, thread, client))
         client.wait_ready(timeout=10.0)
         return server, client
 
     yield boot
 
-    for server, thread in started:
+    for server, thread, client in started:
+        client.close()
         try:
-            ServiceClient(server.url, timeout=5.0).shutdown()
+            with ServiceClient(server.url, timeout=5.0) as closer:
+                closer.shutdown()
         except ServiceError:
             server.request_shutdown()
         thread.join(10)

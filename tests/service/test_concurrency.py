@@ -178,8 +178,14 @@ def test_sigterm_drains_and_flushes_the_trace(tmp_path):
         client.wait_ready(timeout=15.0)
         client.request("analyze", program=program_to_str(cholesky()))
         assert client.ping()["pong"] is True
+        # the client's kept-alive connection stays open and idle: the
+        # daemon must shut it, not wait for the client to hang up
+        t0 = time.monotonic()
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - t0
+        client.close()
+        assert elapsed < 2.0, "SIGTERM waited for an idle connection"
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on failure
             proc.kill()

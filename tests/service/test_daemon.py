@@ -196,8 +196,10 @@ class TestBodyBound:
         wire = json.loads(body)
         assert wire["ok"] is False and wire["error_kind"] == kind
         assert errors == 1
-        # every handler thread is gone once the sockets are: _threads is
-        # what server_close() would block joining
+        # every handler thread is gone once the sockets are (the client's
+        # kept-alive one included): _threads is what server_close() would
+        # block joining
+        client.close()
         for thread in list(server.httpd._threads or ()):
             thread.join(3)
             assert not thread.is_alive()

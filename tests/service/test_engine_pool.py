@@ -188,6 +188,46 @@ def test_shard_for_parses_each_request_once(monkeypatch):
     pool.shard_for(SRC_VARIANT)
     assert len(calls) == 2  # hit
     assert pool.stats["shard_misses"] == 1 and pool.stats["shard_hits"] == 1
+    # a text seen before is found raw: no parse at all
+    for text in (SRC, SRC_VARIANT, SRC):
+        pool.shard_for(text)
+    assert len(calls) == 2
+    assert pool.stats["shard_hits"] == 4
+
+
+def test_an_evicted_shard_is_never_found_through_an_alias(monkeypatch):
+    from repro.ir import parser
+
+    calls = []
+    real = parser._Parser.parse_program
+    monkeypatch.setattr(
+        parser._Parser, "parse_program",
+        lambda self, name: calls.append(name) or real(self, name),
+    )
+    pool = EnginePool(max_shards=1)
+    first = pool.shard_for(SRC)
+    pool.shard_for(SRC_VARIANT)  # a second alias of the same shard
+    pool.shard_for(prog(1))  # evicts SRC's shard and both its aliases
+    assert len(calls) == 3
+    for text in (SRC, SRC_VARIANT):
+        again = pool.shard_for(text)
+        assert again is not first
+        assert again is pool.shard_for(SRC)
+    assert len(calls) == 5  # each text parsed once more, once the shard was gone
+
+
+def test_alias_table_is_bounded_in_characters(monkeypatch):
+    from repro.service import engine_pool
+
+    monkeypatch.setattr(engine_pool, "MAX_ALIAS_CHARS", 2 * len(prog(0)))
+    pool = EnginePool()
+    shards = [pool.shard_for(prog(n)) for n in range(4)]
+    assert list(pool._aliases) == [prog(2), prog(3)]
+    assert [s.texts for s in shards] == [set(), set(), {prog(2)}, {prog(3)}]
+    assert pool.shard_for(prog(0)) is shards[0]  # the shard outlives its alias
+    longer = prog(0).replace("do ", "do " + " " * 3 * len(prog(0)))
+    assert pool.shard_for(longer) is shards[0]
+    assert longer not in pool._aliases  # over the whole budget: never aliased
 
 
 def test_shard_bound_is_the_argument_not_the_environment(monkeypatch):
@@ -206,3 +246,39 @@ def test_unparsable_program_is_refused_without_a_shard():
         pool.shard_for("do I = 1, N\n  S1: A(I) = \nenddo")
     assert pool.shard_count() == 0
     assert pool.stats["shard_misses"] == 0
+
+
+def test_front_table_stays_consistent_under_thread_churn():
+    """More threads than cores, a short switch interval and a one-shard
+    map: every lookup still names its own program, and the front table's
+    bookkeeping (texts per shard, character count) loses no update."""
+    import sys
+
+    from repro.ir import canonical_text, program_key
+
+    texts = [t for n in range(3) for t in (prog(n), prog(n).replace("= 1, N", "= 1,N"))]
+    keys = {t: program_key(canonical_text(t)) for t in texts}
+    pool = EnginePool(max_shards=1)
+    wrong: list[str] = []
+
+    def worker(offset: int) -> None:
+        for i in range(300):
+            text = texts[(offset + i) % len(texts)]
+            if pool.shard_for(text).key != keys[text]:
+                wrong.append(text)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not wrong
+    shard = next(iter(pool._shards.values()))
+    assert set(pool._aliases) == shard.texts
+    assert pool._alias_chars == sum(map(len, pool._aliases))
